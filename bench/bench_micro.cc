@@ -99,6 +99,15 @@ void BM_LruRecordUpload(benchmark::State& state) {
 }
 BENCHMARK(BM_LruRecordUpload)->Arg(20)->Arg(200);
 
+void BM_HistoryRecordUpload(benchmark::State& state) {
+  auto list = MakeNeighbourList(StrategyKind::kHistory, static_cast<size_t>(state.range(0)));
+  Rng rng(4);
+  for (auto _ : state) {
+    list->RecordUpload(static_cast<uint32_t>(rng.NextBelow(500)), 1.0);
+  }
+}
+BENCHMARK(BM_HistoryRecordUpload)->Arg(20)->Arg(200);
+
 void BM_HistoryCollect(benchmark::State& state) {
   auto list = MakeNeighbourList(StrategyKind::kHistory, 20);
   Rng rng(5);

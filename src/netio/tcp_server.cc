@@ -793,14 +793,15 @@ void TcpServer::RecordRequestTelemetry(
       std::chrono::duration_cast<std::chrono::nanoseconds>(start - started_)
           .count());
   ev.dur = latency_ns;
-  ev.id = slow_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   ev.domain = obs::TimeDomain::kWall;
   ev.args[0] = static_cast<uint64_t>(frame.type);
   ev.args[1] = request_bytes;
   ev.args[2] = reply_bytes;
   ev.args[3] = conn.logged_in ? conn.node : kInvalidNode;
   ev.arg_count = 4;
-  slow_log_.Append(ev);
+  // Numbered under the ring's lock, so entries from several io workers sit
+  // in id order, which a scraper's slow_after_seq cursor relies on.
+  slow_log_.AppendNumbered(ev);
 }
 
 void TcpServer::RefreshProcessGauges() {

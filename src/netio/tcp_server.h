@@ -167,8 +167,7 @@ class TcpServer {
   // Observability plane (DESIGN.md §6k).
   std::chrono::steady_clock::time_point started_{};  // Set by Start().
   std::atomic<uint64_t> stats_seq_{0};  // Monotonic StatsRep sequence.
-  std::atomic<uint64_t> slow_seq_{0};   // Monotonic slow-log entry ids.
-  obs::FlightRecorder slow_log_;
+  obs::FlightRecorder slow_log_;  // Entry ids from AppendNumbered.
 };
 
 }  // namespace edk::netio

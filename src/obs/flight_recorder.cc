@@ -9,6 +9,16 @@ FlightRecorder::FlightRecorder(size_t capacity)
 
 void FlightRecorder::Append(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
+  AppendLocked(event);
+}
+
+void FlightRecorder::AppendNumbered(TraceEvent event) {
+  std::lock_guard<std::mutex> lock(mu_);
+  event.id = ++last_seq_;
+  AppendLocked(event);
+}
+
+void FlightRecorder::AppendLocked(const TraceEvent& event) {
   if (ring_.size() < capacity_) {
     ring_.push_back(event);
     return;

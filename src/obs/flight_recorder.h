@@ -16,7 +16,8 @@
 // Thread safety: Append() and Collect() take the recorder's own mutex. The
 // mutex is uncontended on the hot path (only the owning thread appends);
 // it exists so a snapshot from another thread (end-of-run export, tests)
-// reads a consistent ring, including under TSan.
+// reads a consistent ring, including under TSan. A ring shared by several
+// writers (the TCP server's slow-request log) appends with AppendNumbered.
 
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
@@ -70,6 +71,13 @@ class FlightRecorder {
   // is full (the overwrite is counted in dropped(event.domain)).
   void Append(const TraceEvent& event);
 
+  // Stamps `event.id` with the recorder's next sequence number (1, 2, ...)
+  // and appends it, both under the ring's lock, so the ids Collect returns
+  // are strictly increasing however many threads append. The sequence
+  // survives ResetWithCapacity, so a reader's "ids after N" cursor stays
+  // valid.
+  void AppendNumbered(TraceEvent event);
+
   // Copies the retained events, oldest first, onto the end of `out`.
   void Collect(std::vector<TraceEvent>* out) const;
 
@@ -84,10 +92,13 @@ class FlightRecorder {
   void ResetWithCapacity(size_t capacity);
 
  private:
+  void AppendLocked(const TraceEvent& event);  // Caller holds mu_.
+
   mutable std::mutex mu_;
   size_t capacity_;
   std::vector<TraceEvent> ring_;  // Grows to capacity_, then wraps.
   size_t head_ = 0;               // Next overwrite position once full.
+  uint64_t last_seq_ = 0;         // Last id AppendNumbered assigned.
   std::array<uint64_t, 2> dropped_{};  // Indexed by TimeDomain.
 };
 

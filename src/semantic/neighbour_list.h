@@ -37,15 +37,18 @@ class NeighbourList {
   // popularity-weighted strategy uses it).
   virtual void RecordUpload(uint32_t uploader, double rarity_weight) = 0;
 
-  // Appends up to `k` neighbours to `out`, best candidate first.
+  // Appends at most min(k, capacity) neighbours to `out`, best candidate
+  // first.
   virtual void Collect(size_t k, std::vector<uint32_t>& out) const = 0;
 
+  // Neighbours currently listed (<= capacity).
   virtual size_t size() const = 0;
 };
 
 // `capacity` is the neighbour-list length (the single design parameter of
-// LRU, §5.2); frequency-based strategies keep full history and use capacity
-// only as the default Collect bound.
+// LRU, §5.2) and bounds what Collect returns for every strategy. The
+// frequency-based strategies remember every uploader's score, so a peer
+// that fell out of the list climbs back once its score beats the tail's.
 std::unique_ptr<NeighbourList> MakeNeighbourList(StrategyKind kind, size_t capacity);
 
 }  // namespace edk
