@@ -39,10 +39,8 @@ int main(int argc, char** argv) {
                 edk::AsciiTable::FormatCell(files_o / static_cast<double>(days_o.size()))});
 
   const int day = pessimistic.first_day() + 3;
-  const auto curve_p =
-      edk::ComputeClusteringCurve(edk::BuildDayCaches(pessimistic, day), 12);
-  const auto curve_o =
-      edk::ComputeClusteringCurve(edk::BuildDayCaches(optimistic, day), 12);
+  const auto curve_p = edk::ClusteringCurveOnDay(pessimistic, day, 12);
+  const auto curve_o = edk::ClusteringCurveOnDay(optimistic, day, 12);
   for (size_t k : {1u, 3u, 5u, 10u}) {
     table.AddRow({"P(another common | >= " + std::to_string(k) + ")",
                   edk::FormatPercent(curve_p.ProbabilityAt(k)),

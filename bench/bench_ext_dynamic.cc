@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
             << " vs final week: " << edk::FormatPercent(window_rate(days - 7, days))
             << " -> lists learned early keep paying off\n";
 
-  // The same replay straight off an EDKT v2 file: the StreamingDaySource
-  // path holds one day resident at a time and must reproduce the in-RAM
+  // The same replay straight off an EDKT v2 file: the reader's day source
+  // holds one day resident at a time and must reproduce the in-RAM
   // run bit for bit (DESIGN.md §6i). This is the zero-materialise entry
   // point a real multi-week crawl would use.
   const std::string v2_path =

@@ -33,8 +33,8 @@
 //   analyses    StreamingDailyActivity, StreamingRankedSourcesOnDay,
 //               StreamingFileSpreadOverTime (most-sourced file)
 //
-// The overlap/clustering kernels are exercised for byte-identity at small
-// scale by tests/analysis/streaming_equivalence_test.cc; their cost is
+// The overlap/clustering kernels are checked against an oracle at small
+// scale by tests/analysis/day_sweep_test.cc; their cost is
 // quadratic-ish in holders and not a scan-rate story, so they are not run
 // at 10 M peers here.
 

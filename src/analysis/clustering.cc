@@ -1,10 +1,13 @@
 #include "src/analysis/clustering.h"
 
 #include <algorithm>
+#include <optional>
 
+#include "src/analysis/streaming.h"
 #include "src/exec/parallel.h"
 #include "src/obs/metrics.h"
 #include "src/trace/cache_store.h"
+#include "src/trace/day_source.h"
 
 namespace edk {
 
@@ -73,6 +76,34 @@ ClusteringCurve ComputeClusteringCurve(const CacheStore& store, size_t max_k) {
     }
   }
   return curve;
+}
+
+namespace {
+
+template <typename Source>
+ClusteringCurve ClusteringCurveOver(const Source& source, int day, size_t max_k,
+                                    const std::vector<bool>* file_mask) {
+  const std::optional<DayCaches> view = source.ReadDay(day);
+  const CacheStore empty;
+  const CacheStore& store = view.has_value() ? view->store : empty;
+  if (file_mask != nullptr) {
+    return ComputeClusteringCurve(store.Masked(*file_mask), max_k);
+  }
+  return ComputeClusteringCurve(store, max_k);
+}
+
+}  // namespace
+
+ClusteringCurve ClusteringCurveOnDay(const Trace& trace, int day, size_t max_k,
+                                     const std::vector<bool>* file_mask) {
+  return ClusteringCurveOver(TraceDaySource(trace), day, max_k, file_mask);
+}
+
+ClusteringCurve StreamingClusteringCurveOnDay(const stream::TraceReader& reader,
+                                              int day, size_t max_k,
+                                              const std::vector<bool>* file_mask) {
+  return ClusteringCurveOver(stream::ReaderDaySource(reader), day, max_k,
+                             file_mask);
 }
 
 std::vector<bool> MaskCategoryPopularity(const Trace& trace, FileCategory category,

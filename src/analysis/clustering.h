@@ -36,12 +36,15 @@ struct ClusteringCurve {
 ClusteringCurve ComputeClusteringCurve(const StaticCaches& caches, size_t max_k,
                                        const std::vector<bool>* file_mask = nullptr);
 
-// Store-level twin used by the streaming pipeline: takes an already-built
-// (and, if needed, already-masked) one-day CacheStore view — either
-// CacheStore::FromStaticCaches/FromTraceDay or a stream::TraceReader day
-// view, which are layout-identical, so both paths give byte-identical
-// curves.
+// Store-level kernel: takes an already-built (and, if needed,
+// already-masked) CacheStore, e.g. a day view from a day source
+// (src/trace/day_source.h).
 ClusteringCurve ComputeClusteringCurve(const CacheStore& store, size_t max_k);
+
+// The curve on one day's caches: equal to
+// ComputeClusteringCurve(BuildDayCaches(trace, day), max_k, file_mask).
+ClusteringCurve ClusteringCurveOnDay(const Trace& trace, int day, size_t max_k,
+                                     const std::vector<bool>* file_mask = nullptr);
 
 // Mask helpers for the paper's file classes.
 // Files of the given category whose union-trace popularity lies in

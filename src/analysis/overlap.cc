@@ -1,11 +1,14 @@
 #include "src/analysis/overlap.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
+#include "src/analysis/streaming.h"
 #include "src/exec/parallel.h"
 #include "src/obs/metrics.h"
 #include "src/trace/cache_store.h"
+#include "src/trace/day_source.h"
 
 namespace edk {
 
@@ -38,12 +41,6 @@ void ForEachOverlappingPair(const CacheStore& store, Visitor visit) {
 }
 
 }  // namespace
-
-std::vector<std::pair<uint32_t, uint64_t>> OverlapHistogramOnDay(const Trace& trace,
-                                                                 int day) {
-  obs::PhaseTimer timer("analysis.overlap.histogram_day");
-  return OverlapHistogramFromStore(CacheStore::FromTraceDay(trace, day));
-}
 
 std::vector<std::pair<uint32_t, uint64_t>> OverlapHistogramFromStore(
     const CacheStore& store) {
@@ -120,14 +117,33 @@ std::vector<OverlapCohort> SelectOverlapCohorts(
   return cohorts;
 }
 
-std::vector<OverlapCohort> ComputeOverlapEvolution(const Trace& trace,
-                                                   const OverlapEvolutionOptions& options) {
-  obs::PhaseTimer timer("analysis.overlap.evolution");
-  const int first_day = trace.first_day();
-  std::vector<OverlapCohort> cohorts =
-      SelectOverlapCohorts(CacheStore::FromTraceDay(trace, first_day), options);
+namespace {
 
-  const size_t days = static_cast<size_t>(trace.last_day() - trace.first_day() + 1);
+template <typename Source>
+std::vector<std::pair<uint32_t, uint64_t>> OverlapHistogramOver(
+    const Source& source, int day) {
+  const std::optional<DayCaches> view = source.ReadDay(day);
+  if (!view.has_value()) {
+    return {};  // Nobody observed (or an undecodable day): no pairs.
+  }
+  return OverlapHistogramFromStore(view->store);
+}
+
+template <typename Source>
+std::vector<OverlapCohort> OverlapEvolutionOver(
+    const Source& source, const OverlapEvolutionOptions& options) {
+  const int first_day = source.first_day();
+  std::vector<OverlapCohort> cohorts;
+  if (const std::optional<DayCaches> view = source.ReadDay(first_day);
+      view.has_value()) {
+    cohorts = SelectOverlapCohorts(view->store, options);
+  } else {
+    cohorts = SelectOverlapCohorts(CacheStore(), options);
+  }
+
+  const size_t days = source.last_day() < first_day
+                          ? 0
+                          : static_cast<size_t>(source.last_day() - first_day + 1);
   for (auto& cohort : cohorts) {
     cohort.mean_overlap.assign(days, 0.0);
   }
@@ -137,28 +153,28 @@ std::vector<OverlapCohort> ComputeOverlapEvolution(const Trace& trace,
   // exact and the pair visit order is free to change. Grouping each
   // cohort's pairs by anchor lets one stamped pass over the anchor's cache
   // serve all its partners: overlap becomes a linear scan of the partner's
-  // cache against the stamp array instead of a two-pointer merge, and the
-  // per-day snapshot lookup is memoised per peer instead of repeated per
-  // pair.
+  // cache against the stamp array instead of a two-pointer merge.
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> by_anchor(cohorts.size());
   for (size_t c = 0; c < cohorts.size(); ++c) {
     by_anchor[c] = cohorts[c].pairs;
     std::sort(by_anchor[c].begin(), by_anchor[c].end());
   }
-  // Days are independent: each task only reads the trace and writes the
+  // Days are independent: each task reads one day view and writes the
   // per-day slot of every cohort, so results match the serial loop exactly.
+  // Peak memory is one day view per worker.
   ParallelFor(0, days, [&](size_t d) {
-    const int day = first_day + static_cast<int>(d);
-    std::vector<const CacheSnapshot*> snapshot(trace.peer_count(), nullptr);
-    std::vector<uint8_t> snapshot_known(trace.peer_count(), 0);
-    const auto snapshot_of = [&](uint32_t peer) {
-      if (snapshot_known[peer] == 0) {
-        snapshot_known[peer] = 1;
-        snapshot[peer] = trace.timeline(PeerId(peer)).SnapshotOn(day);
-      }
-      return snapshot[peer];
-    };
-    std::vector<uint32_t> file_stamp(trace.file_count(), 0);
+    const std::optional<DayCaches> view =
+        source.ReadDay(first_day + static_cast<int>(d));
+    if (!view.has_value()) {
+      return;  // Nobody observed: every cohort mean stays 0.0.
+    }
+    // Snapshot presence, not row emptiness: a peer observed with an empty
+    // cache still counts into its cohort's denominator.
+    std::vector<uint8_t> observed(source.peer_count(), 0);
+    for (const uint32_t p : view->peers) {
+      observed[p] = 1;
+    }
+    std::vector<uint32_t> file_stamp(source.file_count(), 0);
     uint32_t stamp = 0;
     for (size_t c = 0; c < cohorts.size(); ++c) {
       const auto& pairs = by_anchor[c];
@@ -169,24 +185,20 @@ std::vector<OverlapCohort> ComputeOverlapEvolution(const Trace& trace,
       uint64_t counted = 0;
       for (size_t i = 0; i < pairs.size();) {
         const uint32_t p = pairs[i].first;
-        const CacheSnapshot* a = snapshot_of(p);
-        if (a != nullptr) {
+        const bool p_observed = observed[p] != 0;
+        if (p_observed) {
           ++stamp;
-          for (const FileId f : a->files) {
-            file_stamp[f.value] = stamp;
+          for (const uint32_t f : view->store.PeerFiles(p)) {
+            file_stamp[f] = stamp;
           }
         }
         for (; i < pairs.size() && pairs[i].first == p; ++i) {
-          if (a == nullptr) {
-            continue;
-          }
-          const CacheSnapshot* b = snapshot_of(pairs[i].second);
-          if (b == nullptr) {
+          if (!p_observed || observed[pairs[i].second] == 0) {
             continue;
           }
           uint64_t overlap = 0;
-          for (const FileId f : b->files) {
-            overlap += file_stamp[f.value] == stamp ? 1 : 0;
+          for (const uint32_t f : view->store.PeerFiles(pairs[i].second)) {
+            overlap += file_stamp[f] == stamp ? 1 : 0;
           }
           sum += static_cast<double>(overlap);
           ++counted;
@@ -196,6 +208,32 @@ std::vector<OverlapCohort> ComputeOverlapEvolution(const Trace& trace,
     }
   });
   return cohorts;
+}
+
+}  // namespace
+
+std::vector<std::pair<uint32_t, uint64_t>> OverlapHistogramOnDay(const Trace& trace,
+                                                                 int day) {
+  obs::PhaseTimer timer("analysis.overlap.histogram_day");
+  return OverlapHistogramOver(TraceDaySource(trace), day);
+}
+
+std::vector<std::pair<uint32_t, uint64_t>> StreamingOverlapHistogramOnDay(
+    const stream::TraceReader& reader, int day) {
+  obs::PhaseTimer timer("analysis.streaming.overlap_histogram_day");
+  return OverlapHistogramOver(stream::ReaderDaySource(reader), day);
+}
+
+std::vector<OverlapCohort> ComputeOverlapEvolution(const Trace& trace,
+                                                   const OverlapEvolutionOptions& options) {
+  obs::PhaseTimer timer("analysis.overlap.evolution");
+  return OverlapEvolutionOver(TraceDaySource(trace), options);
+}
+
+std::vector<OverlapCohort> StreamingOverlapEvolution(
+    const stream::TraceReader& reader, const OverlapEvolutionOptions& options) {
+  obs::PhaseTimer timer("analysis.streaming.overlap_evolution");
+  return OverlapEvolutionOver(stream::ReaderDaySource(reader), options);
 }
 
 }  // namespace edk

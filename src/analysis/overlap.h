@@ -45,18 +45,14 @@ std::vector<OverlapCohort> ComputeOverlapEvolution(const Trace& trace,
 std::vector<std::pair<uint32_t, uint64_t>> OverlapHistogramOnDay(const Trace& trace,
                                                                  int day);
 
-// Store-level kernels shared by the in-RAM entry points above and the
-// out-of-core streaming pipeline (src/analysis/streaming.h). Both take a
-// one-day CacheStore view — CacheStore::FromTraceDay or a
-// stream::TraceReader::ReadDay store, which are layout-identical — so the
-// two pipelines produce byte-identical results by construction.
+// Store-level kernels behind the entry points above. Both take a one-day
+// CacheStore view, e.g. from a day source (src/trace/day_source.h).
 std::vector<std::pair<uint32_t, uint64_t>> OverlapHistogramFromStore(
     const CacheStore& store);
 
 // Day-one cohort selection (pair enumeration + reservoir sampling) of
-// ComputeOverlapEvolution, split out so the streaming sweep reuses it. The
-// returned cohorts carry pair_count and the sampled pairs; mean_overlap is
-// left empty for the caller's daily sweep to fill.
+// ComputeOverlapEvolution. The returned cohorts carry pair_count and the
+// sampled pairs; mean_overlap is left empty for the daily sweep to fill.
 std::vector<OverlapCohort> SelectOverlapCohorts(
     const CacheStore& first_day_store, const OverlapEvolutionOptions& options);
 

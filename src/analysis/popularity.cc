@@ -2,64 +2,79 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_map>
 
+#include "src/analysis/spread.h"
+#include "src/analysis/streaming.h"
 #include "src/exec/parallel.h"
+#include "src/obs/metrics.h"
+#include "src/trace/day_source.h"
 
 namespace edk {
 
-std::vector<DailyActivity> ComputeDailyActivity(const Trace& trace) {
+namespace {
+
+constexpr uint32_t kNeverSeen = 0xffffffffu;
+
+template <typename Source>
+std::vector<DailyActivity> DailyActivityOver(const Source& source) {
   std::vector<DailyActivity> out;
-  if (trace.last_day() < trace.first_day()) {
+  const int first = source.first_day();
+  if (source.last_day() < first) {
     return out;
   }
-  const size_t days = static_cast<size_t>(trace.last_day() - trace.first_day() + 1);
-  out.resize(days);
-  for (size_t d = 0; d < days; ++d) {
-    out[d].day = trace.first_day() + static_cast<int>(d);
-  }
-  // first_seen_day per file; kInvalid marks never-seen.
-  std::vector<int> first_seen(trace.file_count(), -1);
-  for (size_t p = 0; p < trace.peer_count(); ++p) {
-    for (const auto& snapshot : trace.timeline(PeerId(static_cast<uint32_t>(p))).snapshots) {
-      auto& day = out[static_cast<size_t>(snapshot.day - trace.first_day())];
-      ++day.clients_scanned;
-      if (!snapshot.files.empty()) {
-        ++day.non_empty_caches;
-        day.files_seen += snapshot.files.size();
-        for (FileId f : snapshot.files) {
-          if (first_seen[f.value] == -1 || snapshot.day < first_seen[f.value]) {
-            first_seen[f.value] = snapshot.day;
+  const size_t days = static_cast<size_t>(source.last_day() - first + 1);
+  // Each worker counts per-day rows and keeps, per file, the earliest day
+  // index it saw the file on. Sums and minima are order-free, so merging
+  // the workers reproduces the serial sweep for any block layout and
+  // thread count; new_files[d] is then the number of files first seen on d.
+  struct Partial {
+    std::vector<DailyActivity> rows;
+    std::vector<uint32_t> first_seen;
+  };
+  Partial init;
+  init.rows.resize(days);
+  init.first_seen.assign(source.file_count(), kNeverSeen);
+  std::vector<Partial> partials = ScanDays(
+      source, first, source.last_day(), init,
+      [first](Partial& part, int day, const uint32_t* files, size_t count) {
+        const uint32_t d = static_cast<uint32_t>(day - first);
+        DailyActivity& row = part.rows[d];
+        ++row.clients_scanned;
+        if (count > 0) {
+          ++row.non_empty_caches;
+          row.files_seen += count;
+          for (size_t i = 0; i < count; ++i) {
+            part.first_seen[files[i]] = std::min(part.first_seen[files[i]], d);
           }
         }
-      }
+      });
+  Partial merged = partials.empty() ? std::move(init) : std::move(partials[0]);
+  for (size_t w = 1; w < partials.size(); ++w) {
+    for (size_t d = 0; d < days; ++d) {
+      merged.rows[d].clients_scanned += partials[w].rows[d].clients_scanned;
+      merged.rows[d].non_empty_caches += partials[w].rows[d].non_empty_caches;
+      merged.rows[d].files_seen += partials[w].rows[d].files_seen;
+    }
+    for (size_t f = 0; f < merged.first_seen.size(); ++f) {
+      merged.first_seen[f] = std::min(merged.first_seen[f], partials[w].first_seen[f]);
     }
   }
-  for (int day : first_seen) {
-    if (day >= 0) {
-      ++out[static_cast<size_t>(day - trace.first_day())].new_files;
+  out = std::move(merged.rows);
+  for (const uint32_t d : merged.first_seen) {
+    if (d != kNeverSeen) {
+      ++out[d].new_files;
     }
   }
   uint64_t cumulative = 0;
-  for (auto& day : out) {
-    cumulative += day.new_files;
-    day.total_files = cumulative;
+  for (size_t d = 0; d < days; ++d) {
+    out[d].day = first + static_cast<int>(d);
+    cumulative += out[d].new_files;
+    out[d].total_files = cumulative;
   }
   return out;
 }
 
-std::vector<uint32_t> RankedSourcesOnDay(const Trace& trace, int day) {
-  std::vector<uint32_t> counts(trace.file_count(), 0);
-  for (size_t p = 0; p < trace.peer_count(); ++p) {
-    const CacheSnapshot* snapshot =
-        trace.timeline(PeerId(static_cast<uint32_t>(p))).SnapshotOn(day);
-    if (snapshot == nullptr) {
-      continue;
-    }
-    for (FileId f : snapshot->files) {
-      ++counts[f.value];
-    }
-  }
+std::vector<uint32_t> RankDescending(const std::vector<uint32_t>& counts) {
   std::vector<uint32_t> ranked;
   ranked.reserve(counts.size());
   for (uint32_t c : counts) {
@@ -71,17 +86,29 @@ std::vector<uint32_t> RankedSourcesOnDay(const Trace& trace, int day) {
   return ranked;
 }
 
+}  // namespace
+
+std::vector<DailyActivity> ComputeDailyActivity(const Trace& trace) {
+  return DailyActivityOver(TraceDaySource(trace));
+}
+
+std::vector<DailyActivity> StreamingDailyActivity(
+    const stream::TraceReader& reader) {
+  obs::PhaseTimer timer("analysis.streaming.daily_activity");
+  return DailyActivityOver(stream::ReaderDaySource(reader));
+}
+
+std::vector<uint32_t> RankedSourcesOnDay(const Trace& trace, int day) {
+  return RankDescending(SourcesOnDay(trace, day));
+}
+
+std::vector<uint32_t> StreamingRankedSourcesOnDay(
+    const stream::TraceReader& reader, int day) {
+  return RankDescending(StreamingSourcesOnDay(reader, day));
+}
+
 std::vector<uint32_t> RankedSourcesOverall(const Trace& trace) {
-  auto counts = trace.SourceCounts();
-  std::vector<uint32_t> ranked;
-  ranked.reserve(counts.size());
-  for (uint32_t c : counts) {
-    if (c > 0) {
-      ranked.push_back(c);
-    }
-  }
-  std::sort(ranked.begin(), ranked.end(), std::greater<>());
-  return ranked;
+  return RankDescending(trace.SourceCounts());
 }
 
 LinearFit FitZipfTail(const std::vector<uint32_t>& ranked_sources, size_t skip_head) {
@@ -121,20 +148,17 @@ std::vector<double> AveragePopularity(const Trace& trace) {
                           ? 0
                           : static_cast<size_t>(trace.last_day() - trace.first_day() + 1);
   std::vector<std::vector<uint8_t>> seen_by_day(days);
+  const TraceDaySource source(trace);
   ParallelFor(0, days, [&](size_t d) {
-    const int day = trace.first_day() + static_cast<int>(d);
     auto& seen = seen_by_day[d];
     seen.assign(trace.file_count(), 0);
-    for (size_t p = 0; p < trace.peer_count(); ++p) {
-      const CacheSnapshot* snapshot =
-          trace.timeline(PeerId(static_cast<uint32_t>(p))).SnapshotOn(day);
-      if (snapshot == nullptr) {
-        continue;
-      }
-      for (FileId f : snapshot->files) {
-        seen[f.value] = 1;
-      }
-    }
+    TraceDaySource::Scratch scratch;
+    source.ForEachSnapshot(trace.first_day() + static_cast<int>(d), scratch,
+                           [&](uint32_t, const uint32_t* files, size_t count) {
+                             for (size_t i = 0; i < count; ++i) {
+                               seen[files[i]] = 1;
+                             }
+                           });
   });
   for (const auto& seen : seen_by_day) {
     for (size_t f = 0; f < seen.size(); ++f) {

@@ -19,13 +19,18 @@ std::vector<FileId> TopFilesOverall(const Trace& trace, size_t k);
 // Files with the most sources on one day, most popular first.
 std::vector<FileId> TopFilesOnDay(const Trace& trace, int day, size_t k);
 
+// Sources per file on one day, indexed by file id (0 for files nobody
+// shares that day).
+std::vector<uint32_t> SourcesOnDay(const Trace& trace, int day);
+
 // Fraction of scanned clients sharing `file` on each day of the trace
 // (Fig. 8's "spread"). Entry d corresponds to day first_day + d; days with
 // no scanned client yield 0.
 std::vector<double> FileSpreadOverTime(const Trace& trace, FileId file);
 
 // Rank (1 = most replicated) of `file` among all files on each day
-// (Figs. 9-10). Days where the file has no sources yield 0.
+// (Figs. 9-10). Days where the file has no sources yield 0, as does every
+// day for a file id outside the trace's file table.
 std::vector<uint32_t> FileRankOverTime(const Trace& trace, FileId file);
 
 // Batched variant: ranks for several files in one sweep over the trace.

@@ -1,26 +1,15 @@
-// Out-of-core streaming twins of the day-sweep analyses (DESIGN.md §6h).
+// Out-of-core entry points of the day-sweep analyses (DESIGN.md §6h).
 //
-// Every function here consumes an EDKT v2 stream::TraceReader instead of
-// an in-RAM Trace and is BYTE-IDENTICAL to its Trace-based twin on the
-// materialised trace, at any thread count. That holds by construction:
-//   * per-day work runs on TraceReader day views that are layout-identical
-//     to CacheStore::FromTraceDay, through the same shared store-level
-//     kernels (OverlapHistogramFromStore, SelectOverlapCohorts,
-//     ComputeClusteringCurve's store overload);
-//   * day sweeps accumulate exact integer quantities (in uint64 or as
-//     integer-valued doubles), so task order cannot perturb results;
-//   * blocked (tag 0x04) days additionally decode block-parallel — per-task
-//     or per-worker partials merged through commutative integer sums or the
-//     first-seen bitmap (DESIGN.md §6i) — so the same byte-identity holds
-//     across thread counts AND across blocked/unblocked encodings;
-//   * snapshot *presence* matters separately from cache content (a peer
-//     observed with an empty cache is not the same as an unobserved peer),
-//     so the sweeps consult the day view's observed-peer list, never just
-//     row emptiness.
-//
-// Memory is bounded by one day's segment (times the worker count for the
-// parallel sweeps), never by the trace: a 10M-peer multi-week trace
-// analyses in well under 2 GB (bench/bench_stream.cc measures this).
+// Each function here runs the same body as its Trace-based counterpart,
+// on an EDKT v2 stream::TraceReader instead of an in-RAM Trace: every
+// analysis is written once against a day source (src/trace/day_source.h)
+// and defined next to its Trace entry point. The reader source decodes one
+// day segment at a time, blocked days block-parallel, so memory is bounded
+// by one day's segment (times the worker count for the parallel sweeps),
+// never by the trace: a 10M-peer multi-week trace analyses in well under
+// 2 GB (bench/bench_stream.cc measures this). Results are byte-identical
+// to the Trace entry points on the materialised trace, at any thread count
+// and under either day encoding.
 //
 // Deliberately NOT here: the whole-trace union analyses
 // (RankedSourcesOverall, AveragePopularity, BuildUnionCaches consumers).
@@ -41,33 +30,37 @@
 
 namespace edk {
 
-// Twin of ComputeDailyActivity (Figs. 1-3).
+// ComputeDailyActivity (Figs. 1-3).
 std::vector<DailyActivity> StreamingDailyActivity(
     const stream::TraceReader& reader);
 
-// Twin of RankedSourcesOnDay (one Fig. 5 curve).
+// SourcesOnDay (src/analysis/spread.h).
+std::vector<uint32_t> StreamingSourcesOnDay(const stream::TraceReader& reader,
+                                            int day);
+
+// RankedSourcesOnDay (one Fig. 5 curve).
 std::vector<uint32_t> StreamingRankedSourcesOnDay(
     const stream::TraceReader& reader, int day);
 
-// Twin of FileSpreadOverTime (Fig. 8).
+// FileSpreadOverTime (Fig. 8).
 std::vector<double> StreamingFileSpreadOverTime(
     const stream::TraceReader& reader, FileId file);
 
-// Twin of FileRanksOverTime (Figs. 9-10).
+// FileRanksOverTime (Figs. 9-10).
 std::vector<std::vector<uint32_t>> StreamingFileRanksOverTime(
     const stream::TraceReader& reader, const std::vector<FileId>& files);
 
-// Twin of OverlapHistogramOnDay.
+// OverlapHistogramOnDay.
 std::vector<std::pair<uint32_t, uint64_t>> StreamingOverlapHistogramOnDay(
     const stream::TraceReader& reader, int day);
 
-// Twin of ComputeOverlapEvolution (Figs. 15-17): cohort selection on the
-// first day's view, then a parallel day sweep that decodes each day once.
+// ComputeOverlapEvolution (Figs. 15-17): cohort selection on the first
+// day's view, then a parallel day sweep that decodes each day once.
 std::vector<OverlapCohort> StreamingOverlapEvolution(
     const stream::TraceReader& reader, const OverlapEvolutionOptions& options);
 
-// Twin of ComputeClusteringCurve(BuildDayCaches(trace, day), ...)
-// (Figs. 13-14). The mask, if given, is indexed by file id as usual.
+// ClusteringCurveOnDay (Figs. 13-14). The mask, if given, is indexed by
+// file id as usual.
 ClusteringCurve StreamingClusteringCurveOnDay(
     const stream::TraceReader& reader, int day, size_t max_k,
     const std::vector<bool>* file_mask = nullptr);

@@ -7,37 +7,18 @@
 #include "src/common/rng.h"
 #include "src/obs/span.h"
 #include "src/obs/trace_log.h"
+#include "src/trace/day_source.h"
 
 namespace edk {
 
-bool TraceDaySource::ForEachSnapshotOnDay(int day, const SnapshotFn& fn) {
-  for (uint32_t p = 0; p < trace_.peer_count(); ++p) {
-    const CacheSnapshot* snapshot = trace_.timeline(PeerId(p)).SnapshotOn(day);
-    if (snapshot == nullptr) {
-      continue;
-    }
-    scratch_.clear();
-    for (const FileId f : snapshot->files) {
-      scratch_.push_back(f.value);
-    }
-    fn(p, scratch_.data(), scratch_.size());
-  }
-  return true;
-}
+namespace {
 
-bool StreamingDaySource::ForEachSnapshotOnDay(int day, const SnapshotFn& fn) {
-  const stream::TraceReader::DayInfo* info = reader_.FindDay(day);
-  if (info == nullptr) {
-    return true;  // Nobody observed: a valid, empty day.
-  }
-  return reader_.ForEachSnapshot(
-      *info, arena_, [&](uint32_t peer, const uint32_t* files, size_t count) {
-        fn(peer, files, count);
-      });
-}
-
-std::optional<DynamicSimResult> RunDynamicSearchSimulation(
-    DaySource& source, const DynamicSimConfig& config, std::string* error) {
+// Returns nullopt (with `error` set) only when the source fails to decode
+// a day.
+template <typename Source>
+std::optional<DynamicSimResult> Replay(const Source& source,
+                                       const DynamicSimConfig& config,
+                                       std::string* error) {
   DynamicSimResult result;
   if (source.last_day() < source.first_day()) {
     return result;
@@ -63,18 +44,19 @@ std::optional<DynamicSimResult> RunDynamicSearchSimulation(
   // The current day's snapshots, buffered once per day: `online` ascending,
   // peer i's cache at today_files[today_offset[i]..today_offset[i + 1]).
   // This is the only per-day state, so memory stays bounded by one day for
-  // a StreamingDaySource.
+  // a file-backed source.
   std::vector<uint32_t> online;
   std::vector<size_t> today_offset;
   std::vector<uint32_t> today_files;
 
   std::vector<uint32_t> neighbours;
+  typename Source::Scratch scratch;
   for (int day = source.first_day(); day <= source.last_day(); ++day) {
     online.clear();
     today_offset.clear();
     today_files.clear();
-    if (!source.ForEachSnapshotOnDay(
-            day, [&](uint32_t p, const uint32_t* files, size_t count) {
+    if (!source.ForEachSnapshot(
+            day, scratch, [&](uint32_t p, const uint32_t* files, size_t count) {
               online.push_back(p);
               today_offset.push_back(today_files.size());
               today_files.insert(today_files.end(), files, files + count);
@@ -195,18 +177,18 @@ std::optional<DynamicSimResult> RunDynamicSearchSimulation(
   return result;
 }
 
+}  // namespace
+
 DynamicSimResult RunDynamicSearchSimulation(const Trace& trace,
                                             const DynamicSimConfig& config) {
-  TraceDaySource source(trace);
-  // A TraceDaySource cannot fail to decode.
-  return *RunDynamicSearchSimulation(source, config);
+  // An in-RAM source cannot fail to decode.
+  return *Replay(TraceDaySource(trace), config, nullptr);
 }
 
 std::optional<DynamicSimResult> RunDynamicSearchSimulation(
     const stream::TraceReader& reader, const DynamicSimConfig& config,
     std::string* error) {
-  StreamingDaySource source(reader);
-  return RunDynamicSearchSimulation(source, config, error);
+  return Replay(stream::ReaderDaySource(reader), config, error);
 }
 
 }  // namespace edk

@@ -10,18 +10,17 @@
 // proximity really is stable over weeks, neighbour lists learned early
 // must keep paying off late.
 //
-// The replay consumes days through the DaySource interface, so the same
-// core runs from an in-RAM Trace or straight off an EDKT v2 file
-// (StreamingDaySource, DESIGN.md §6i) without materialising the whole
-// trace — memory stays bounded by one day. Both sources visit snapshots
-// in ascending peer order with identical cache contents, so the replay —
-// every rng draw, every audit record — is byte-identical across them.
+// The replay reads days through a day source (src/trace/day_source.h), so
+// the same core runs from an in-RAM Trace or straight off an EDKT v2 file
+// without materialising the whole trace — memory stays bounded by one day.
+// Both sources visit snapshots in ascending peer order with identical
+// cache contents, so the replay — every rng draw, every audit record — is
+// byte-identical across them.
 
 #ifndef SRC_SEMANTIC_DYNAMIC_SIM_H_
 #define SRC_SEMANTIC_DYNAMIC_SIM_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,64 +58,6 @@ struct DynamicSimResult {
     return requests == 0 ? 0 : static_cast<double>(hits) / static_cast<double>(requests);
   }
 };
-
-// Where the replay's days come from. The contract every implementation
-// must honour (it is what makes Trace- and reader-backed runs identical):
-//   * ForEachSnapshotOnDay visits the peers observed on `day` in strictly
-//     ascending peer order, passing each peer's cache in stored order;
-//   * a day nobody was observed on visits nothing and returns true;
-//   * false means the day could not be decoded (corrupt streaming file).
-class DaySource {
- public:
-  using SnapshotFn =
-      std::function<void(uint32_t peer, const uint32_t* files, size_t count)>;
-
-  virtual ~DaySource() = default;
-  virtual size_t peer_count() const = 0;
-  virtual int first_day() const = 0;
-  virtual int last_day() const = 0;
-  virtual bool ForEachSnapshotOnDay(int day, const SnapshotFn& fn) = 0;
-};
-
-// In-RAM source: walks Trace::timeline snapshots.
-class TraceDaySource final : public DaySource {
- public:
-  explicit TraceDaySource(const Trace& trace) : trace_(trace) {}
-
-  size_t peer_count() const override { return trace_.peer_count(); }
-  int first_day() const override { return trace_.first_day(); }
-  int last_day() const override { return trace_.last_day(); }
-  bool ForEachSnapshotOnDay(int day, const SnapshotFn& fn) override;
-
- private:
-  const Trace& trace_;
-  std::vector<uint32_t> scratch_;  // FileId -> uint32 staging per snapshot.
-};
-
-// Out-of-core source: decodes one EDKT v2 day segment at a time through a
-// reused arena. The reader must outlive the source.
-class StreamingDaySource final : public DaySource {
- public:
-  explicit StreamingDaySource(const stream::TraceReader& reader)
-      : reader_(reader) {}
-
-  size_t peer_count() const override {
-    return static_cast<size_t>(reader_.peer_count());
-  }
-  int first_day() const override { return reader_.first_day(); }
-  int last_day() const override { return reader_.last_day(); }
-  bool ForEachSnapshotOnDay(int day, const SnapshotFn& fn) override;
-
- private:
-  const stream::TraceReader& reader_;
-  stream::DecodeArena arena_;
-};
-
-// Core replay over any DaySource. Returns nullopt (with `error` set) only
-// when the source fails to decode a day.
-std::optional<DynamicSimResult> RunDynamicSearchSimulation(
-    DaySource& source, const DynamicSimConfig& config,
-    std::string* error = nullptr);
 
 // `trace` should be dense per peer (the extrapolated trace); days without a
 // snapshot mean the peer is offline (cannot ask, answer, or upload).

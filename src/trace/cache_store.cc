@@ -1,5 +1,9 @@
 #include "src/trace/cache_store.h"
 
+#include <utility>
+
+#include "src/trace/day_source.h"
+
 namespace edk {
 
 void CacheStore::BuildTranspose(size_t file_bound) {
@@ -44,23 +48,7 @@ CacheStore CacheStore::FromStaticCaches(const StaticCaches& caches,
 }
 
 CacheStore CacheStore::FromTraceDay(const Trace& trace, int day) {
-  CacheStore store;
-  const size_t peers = trace.peer_count();
-  store.peer_offsets_.reserve(peers + 1);
-  size_t file_bound = 0;
-  for (size_t p = 0; p < peers; ++p) {
-    const CacheSnapshot* snapshot =
-        trace.timeline(PeerId(static_cast<uint32_t>(p))).SnapshotOn(day);
-    if (snapshot != nullptr) {
-      for (const FileId f : snapshot->files) {
-        store.files_.push_back(f.value);
-        file_bound = std::max<size_t>(file_bound, f.value + 1);
-      }
-    }
-    store.peer_offsets_.push_back(store.files_.size());
-  }
-  store.BuildTranspose(file_bound);
-  return store;
+  return std::move(TraceDaySource(trace).ReadDay(day)->store);
 }
 
 CacheStore CacheStore::FromCsr(std::vector<uint32_t> files,

@@ -27,7 +27,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/trace/trace.h"
@@ -44,7 +46,7 @@ class CacheStore {
   static CacheStore FromStaticCaches(const StaticCaches& caches,
                                      size_t file_count_hint = 0);
   // Equivalent to FromStaticCaches(BuildDayCaches(trace, day)) without the
-  // intermediate per-peer vector copies.
+  // intermediate per-peer vector copies: TraceDaySource::ReadDay's store.
   static CacheStore FromTraceDay(const Trace& trace, int day);
   // Adopts an already-flattened CSR (sorted ascending within each peer
   // slice; `peer_offsets` has peer_count + 1 entries starting at 0) and
@@ -115,6 +117,45 @@ class CacheStore {
   // scanned in order during construction).
   std::vector<uint32_t> holders_;
   std::vector<size_t> file_offsets_{0};
+};
+
+// One day's caches in CacheStore form (src/trace/day_source.h). `store`
+// has a row for every peer in the trace (empty when the peer was not
+// observed that day) and its file bound is the largest id present plus
+// one: the CacheStore::FromTraceDay layout, whichever source built it.
+struct DayCaches {
+  int day = 0;
+  std::vector<uint32_t> peers;  // Peers observed this day, ascending.
+  CacheStore store;
+
+  // Builds the view from a serial scan of the day: scan(add) calls
+  // add(peer, files, count) for each observed peer in ascending order and
+  // returns false when the day does not decode (Collect then returns
+  // nullopt). `entries` is a capacity hint for the flat file column.
+  template <typename Scan>
+  static std::optional<DayCaches> Collect(int day, size_t peer_count,
+                                          size_t entries, Scan&& scan) {
+    DayCaches view;
+    view.day = day;
+    std::vector<uint32_t> flat;
+    flat.reserve(entries);
+    std::vector<size_t> offsets;
+    offsets.reserve(peer_count + 1);
+    offsets.push_back(0);
+    const bool ok = scan([&](uint32_t peer, const uint32_t* files, size_t count) {
+      // Empty rows for the peers not observed since the previous snapshot.
+      offsets.resize(static_cast<size_t>(peer) + 1, flat.size());
+      flat.insert(flat.end(), files, files + count);
+      offsets.push_back(flat.size());
+      view.peers.push_back(peer);
+    });
+    if (!ok) {
+      return std::nullopt;
+    }
+    offsets.resize(peer_count + 1, flat.size());
+    view.store = CacheStore::FromCsr(std::move(flat), std::move(offsets));
+    return view;
+  }
 };
 
 // Dense per-peer overlap counter with an explicit touched list. Reusable

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/trace/day_source.h"
 #include "src/trace/serialize.h"
 #include "src/trace/stream/format.h"
 #include "src/trace/stream/trace_writer.h"
@@ -17,35 +18,24 @@ bool SaveTraceV2ToFile(const Trace& trace, const std::string& path,
   if (!writer.has_value()) {
     return false;
   }
-  const size_t peers = trace.peer_count();
-  std::vector<uint32_t> files;
-  for (int day = trace.first_day(); day <= trace.last_day(); ++day) {
-    // Transpose peer-major v1 timelines into day-major segments; days with
-    // no snapshots are not represented in either format.
+  // Transpose peer-major v1 timelines into day-major segments; days with
+  // no snapshots are not represented in either format.
+  const TraceDaySource source(trace);
+  TraceDaySource::Scratch scratch;
+  for (int day = trace.first_day(); day <= trace.last_day() && writer->ok();
+       ++day) {
     bool open = false;
-    for (size_t p = 0; p < peers; ++p) {
-      const CacheSnapshot* snapshot =
-          trace.timeline(PeerId(static_cast<uint32_t>(p))).SnapshotOn(day);
-      if (snapshot == nullptr) {
-        continue;
-      }
-      if (!open) {
-        if (!writer->BeginDay(day)) {
-          break;
-        }
-        open = true;
-      }
-      files.clear();
-      files.reserve(snapshot->files.size());
-      for (const FileId f : snapshot->files) {
-        files.push_back(f.value);
-      }
-      if (!writer->AddSnapshot(static_cast<uint32_t>(p), files)) {
-        break;
-      }
-    }
-    if (open && !writer->EndDay()) {
-      break;
+    source.ForEachSnapshot(
+        day, scratch, [&](uint32_t peer, const uint32_t* files, size_t count) {
+          if (!open) {
+            open = writer->BeginDay(day);
+          }
+          if (open) {
+            writer->AddSnapshot(peer, {files, count});
+          }
+        });
+    if (open) {
+      writer->EndDay();
     }
   }
   const bool ok = writer->ok() && writer->Finish();

@@ -159,23 +159,6 @@ bool ParallelScanSnapshots(const TraceReader& reader,
   return true;
 }
 
-// Parallel twin of a ForEachSnapshot sweep over every day of the trace.
-// The callback must be safe to run from multiple threads at once and its
-// accumulation must be order-free (commutative and associative — e.g. the
-// bench checksum XOR); for anything order-sensitive use
-// ParallelScanSnapshots with per-task slots directly.
-template <typename Fn>
-bool ParallelForEachSnapshot(const TraceReader& reader, Fn&& fn,
-                             size_t threads = 0) {
-  const std::vector<ScanTask> tasks = MakeScanTasks(reader);
-  return ParallelScanSnapshots(
-      reader, tasks,
-      [&](size_t, uint32_t peer, const uint32_t* files, size_t count) {
-        fn(peer, files, count);
-      },
-      threads);
-}
-
 }  // namespace edk::stream
 
 #endif  // SRC_TRACE_STREAM_PARALLEL_SCAN_H_

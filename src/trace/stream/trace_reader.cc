@@ -306,9 +306,9 @@ std::optional<TraceReader::DayCaches> TraceReader::ReadDay(
     }
     return std::nullopt;
   };
-  DayCaches result;
-  result.day = info.day;
   if (info.blocks.size() >= 2 && DefaultThreads() > 1) {
+    DayCaches result;
+    result.day = info.day;
     // Block-parallel fill. The footer block directory gives every block's
     // snapshot and entry counts up front, so each block owns a disjoint
     // slice of the observed-peer, size and flat-entry arrays — the filled
@@ -379,31 +379,12 @@ std::optional<TraceReader::DayCaches> TraceReader::ReadDay(
     result.store = CacheStore::FromCsr(std::move(flat), std::move(offsets));
     return result;
   }
-  result.peers.reserve(info.snapshots);
-  std::vector<uint32_t> flat;
-  flat.reserve(info.file_entries);
-  std::vector<size_t> offsets;
-  offsets.reserve(peer_count_ + 1);
-  offsets.push_back(0);
   DecodeArena arena;
-  const bool ok = ForEachSnapshot(
-      info, arena, [&](uint32_t peer, const uint32_t* files, size_t count) {
-        // Empty rows for the peers not observed since the previous snapshot.
-        while (offsets.size() < static_cast<size_t>(peer) + 1) {
-          offsets.push_back(flat.size());
-        }
-        flat.insert(flat.end(), files, files + count);
-        offsets.push_back(flat.size());
-        result.peers.push_back(peer);
+  std::optional<DayCaches> view =
+      DayCaches::Collect(info.day, peer_count_, info.file_entries, [&](auto add) {
+        return ForEachSnapshot(info, arena, add);
       });
-  if (!ok) {
-    return fail();
-  }
-  while (offsets.size() < peer_count_ + 1) {
-    offsets.push_back(flat.size());
-  }
-  result.store = CacheStore::FromCsr(std::move(flat), std::move(offsets));
-  return result;
+  return view.has_value() ? std::move(view) : fail();
 }
 
 }  // namespace edk::stream

@@ -14,9 +14,9 @@
 //     fn(peer, files, count) per snapshot in ascending peer order;
 //   * ReadDay(info) — a DayCaches view: the observed-peer list plus a
 //     CacheStore with one (possibly empty) row per peer, layout-identical
-//     to CacheStore::FromTraceDay on the materialised trace. The analysis
-//     streaming entry points consume this and are byte-identical to their
-//     in-RAM twins.
+//     to CacheStore::FromTraceDay on the materialised trace.
+// stream::ReaderDaySource (src/trace/day_source.h) puts both behind the
+// day-source interface the analyses are written against.
 //
 // Every decode re-validates against the mapped bytes (the file may change
 // or be corrupt on disk); failures return nullopt/false, never UB.
@@ -56,16 +56,7 @@ class TraceReader {
     std::vector<BlockInfo> blocks;  // Empty for block-less (0x03) days.
   };
 
-  // One day's caches in CacheStore form. `store` has a row for every peer
-  // in the trace (empty when the peer was not observed that day) and its
-  // file bound is the largest id present plus one — exactly the
-  // CacheStore::FromTraceDay layout, so downstream kernels cannot tell the
-  // difference.
-  struct DayCaches {
-    int day = 0;
-    std::vector<uint32_t> peers;  // Peers observed this day, ascending.
-    CacheStore store;
-  };
+  using DayCaches = edk::DayCaches;
 
   TraceReader(TraceReader&& other) noexcept { *this = std::move(other); }
   TraceReader& operator=(TraceReader&& other) noexcept;

@@ -152,7 +152,7 @@ TEST(DynamicSimTest, HitRateDoesNotDecayLate) {
 }
 
 TEST(DynamicSimTest, StreamingReplayIsBitIdenticalToTheTracePath) {
-  // The StreamingDaySource must reproduce the in-RAM replay exactly —
+  // The reader's day source must reproduce the in-RAM replay exactly —
   // every rng draw hinges on request enumeration order, so this catches
   // any ordering divergence between the two sources. Checked under both
   // day encodings; the tiny block target forces multi-block days.

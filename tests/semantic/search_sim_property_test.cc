@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/common/rng.h"
 #include "src/semantic/scenario.h"
 #include "src/semantic/search_sim.h"
@@ -44,6 +46,12 @@ struct SweepParam {
   bool two_hop;
   uint64_t seed;
 };
+
+// Spelled out so test names never show the struct's padding bytes.
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  *os << StrategyName(param.strategy) << " list=" << param.list_size
+      << (param.two_hop ? " two-hop" : " one-hop") << " seed=" << param.seed;
+}
 
 class SearchSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
