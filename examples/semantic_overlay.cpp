@@ -17,7 +17,7 @@
 
 int main() {
   const edk::Geography geography = edk::Geography::PaperDistribution();
-  edk::SimNetwork network(&geography, 2026);
+  edk::SimNetwork network(&geography, edk::SimNetConfig{.seed = 2026});
   edk::SimServer server(&network, edk::ServerConfig{});
   server.set_attachment(geography.FindCountry("DE"), edk::AsId(3));
 
@@ -58,11 +58,11 @@ int main() {
       wishlists.push_back(std::move(wishlist));
     }
   }
-  network.queue().Run();
+  network.Run();
   for (auto& peer : peers) {
     peer->Publish();
   }
-  network.queue().Run();
+  network.Run();
 
   // Every peer fetches its wishlist, one file per round, so semantic lists
   // warm up.
@@ -75,7 +75,7 @@ int main() {
         });
       }
     }
-    network.queue().Run();
+    network.Run();
   }
 
   uint64_t semantic = 0;

@@ -5,7 +5,7 @@
 // verification, and partial sharing, so leeches serve each other while
 // still downloading (paper §2.1's feature list, end to end).
 //
-//   ./examples/swarm_download
+//   ./examples/swarm_download    (exits 1 if any leech fails)
 
 #include <iostream>
 #include <memory>
@@ -17,7 +17,8 @@
 
 int main() {
   const edk::Geography geography = edk::Geography::PaperDistribution();
-  edk::SimNetwork network(&geography, 4321);
+  edk::SimNetwork network(&geography, edk::SimNetConfig{.seed = 4321});
+  edk::Rng rng(4321);  // Attachments and uplinks.
 
   // Two servers, meshed; clients split between them.
   std::vector<std::unique_ptr<edk::SimServer>> servers;
@@ -25,7 +26,7 @@ int main() {
     auto server = std::make_unique<edk::SimServer>(&network, edk::ServerConfig{});
     const edk::CountryId country =
         s == 0 ? geography.FindCountry("DE") : geography.FindCountry("FR");
-    server->set_attachment(country, geography.SampleAs(country, network.rng()));
+    server->set_attachment(country, geography.SampleAs(country, rng));
     servers.push_back(std::move(server));
   }
   for (auto& a : servers) {
@@ -40,10 +41,10 @@ int main() {
     config.block_size = 4'096;
     config.content_scale = 1.0 / 8192.0;  // 700 MB -> ~87 KB moved.
     config.uplink_bytes_per_second =
-        network.latency().SampleUplinkBytesPerSecond(network.rng());
+        network.latency().SampleUplinkBytesPerSecond(rng);
     auto client = std::make_unique<edk::SimClient>(&network, config);
-    const edk::CountryId country = geography.SampleCountry(network.rng());
-    client->set_attachment(country, geography.SampleAs(country, network.rng()));
+    const edk::CountryId country = geography.SampleCountry(rng);
+    client->set_attachment(country, geography.SampleAs(country, rng));
     client->Connect(servers[server_index]->node_id(), nullptr);
     return client;
   };
@@ -53,7 +54,7 @@ int main() {
       edk::SimClient::MakeFileInfo(edk::FileId(1), 700ull << 20, "big movie.avi");
   auto seed = make_client("seed", 0);
   seed->AddLocalFile(movie);
-  network.queue().Run();
+  network.Run();
 
   // A flash crowd of 12 leeches spread over both servers.
   constexpr int kLeeches = 12;
@@ -63,7 +64,7 @@ int main() {
   for (int i = 0; i < kLeeches; ++i) {
     leeches.push_back(make_client("leech" + std::to_string(i), i % 2));
   }
-  network.queue().Run();
+  network.Run();
 
   edk::MultiSourceConfig manager_config;
   manager_config.source_requery_interval = 120.0;  // Compressed timescale.
@@ -72,13 +73,13 @@ int main() {
         &network, leeches[i].get(), manager_config));
     // Stagger the joins: the crowd arrives over ~10 minutes.
     const double delay = 60.0 * i;
-    network.queue().Schedule(delay, [&managers, &reports, &movie, i] {
+    network.ScheduleOn(leeches[i]->node_id(), delay, [&managers, &reports, &movie, i] {
       managers[i]->Fetch(movie, [&reports, i](const edk::MultiSourceReport& report) {
         reports[i] = report;
       });
     });
   }
-  network.queue().Run();
+  network.Run();
 
   edk::AsciiTable table({"leech", "success", "sources used", "corrupted (retried)",
                          "duration"});
@@ -98,5 +99,5 @@ int main() {
             << "multiple sources because early leeches republished partials.\n";
   std::cout << "every transferred block was MD4-verified against the hashset; "
             << "the file id scheme is the eDonkey per-block MD4 construction.\n";
-  return 0;
+  return successes == kLeeches ? 0 : 1;
 }

@@ -43,6 +43,7 @@ std::string SyntheticFileName(uint32_t file_index, const FileMeta& meta,
 namespace {
 
 constexpr double kSecondsPerDay = 86'400.0;
+constexpr uint64_t kCrawlSeedSalt = 0x9e3779b97f4a7c15ULL;
 
 // Random lowercase nickname whose first characters are letters, so the
 // prefix enumeration can find it.
@@ -65,7 +66,9 @@ class CrawlSimulation {
         catalog_(config.workload, geography_, rng_),
         population_(config.workload, geography_, catalog_, rng_),
         engine_(config.workload, catalog_, population_, rng_),
-        network_(&geography_, config.workload.seed ^ 0x9e3779b97f4a7c15ULL),
+        network_(&geography_,
+                 SimNetConfig{.seed = config.workload.seed ^ kCrawlSeedSalt, .shards = 1}),
+        crawl_rng_(config.workload.seed ^ kCrawlSeedSalt),
         file_infos_(catalog_.file_count()) {}
 
   CrawlResult Run();
@@ -86,7 +89,14 @@ class CrawlSimulation {
   FileCatalog catalog_;
   PeerPopulation population_;
   BehaviourEngine engine_;
+  // One shard: the crawl's callbacks share the crawler's state (discovered
+  // users, day stats, the observed trace), which is only safe when every
+  // event runs on the calling thread.
   SimNetwork network_;
+  // The crawler's own draws: server attachment, nicknames, uplinks,
+  // connect jitter and the browse subset. Message delays come from the
+  // nodes' streams inside the network.
+  Rng crawl_rng_;
 
   std::vector<std::unique_ptr<SimServer>> servers_;
   std::vector<std::unique_ptr<SimClient>> clients_;     // One per peer.
@@ -115,8 +125,8 @@ void CrawlSimulation::SetupNodes() {
   servers_.reserve(config_.num_servers);
   for (uint32_t s = 0; s < config_.num_servers; ++s) {
     auto server = std::make_unique<SimServer>(&network_, ServerConfig{});
-    const CountryId country = geography_.SampleCountry(network_.rng());
-    server->set_attachment(country, geography_.SampleAs(country, network_.rng()));
+    const CountryId country = geography_.SampleCountry(crawl_rng_);
+    server->set_attachment(country, geography_.SampleAs(country, crawl_rng_));
     servers_.push_back(std::move(server));
   }
   // Full server mesh: the server list is the only server-server data (§2.1).
@@ -131,10 +141,10 @@ void CrawlSimulation::SetupNodes() {
   for (uint32_t p = 0; p < population_.size(); ++p) {
     const PeerProfile& profile = population_.profile(p);
     ClientConfig client_config;
-    client_config.nickname = RandomNickname(network_.rng());
+    client_config.nickname = RandomNickname(crawl_rng_);
     client_config.firewalled = profile.info.firewalled;
     client_config.uplink_bytes_per_second =
-        network_.latency().SampleUplinkBytesPerSecond(network_.rng());
+        network_.latency().SampleUplinkBytesPerSecond(crawl_rng_);
     auto client = std::make_unique<SimClient>(&network_, client_config);
     client->set_attachment(profile.info.country, profile.info.autonomous_system);
     clients_.push_back(std::move(client));
@@ -150,7 +160,7 @@ void CrawlSimulation::SetupNodes() {
     auto probe = std::make_unique<SimClient>(&network_, probe_config);
     probe->set_attachment(geography_.FindCountry("FR"),
                           geography_.SampleAs(geography_.FindCountry("FR"),
-                                              network_.rng()));
+                                              crawl_rng_));
     probes_.push_back(std::move(probe));
   }
 }
@@ -188,8 +198,10 @@ void CrawlSimulation::ConnectOnlinePeers(double day_start) {
     // Each peer prefers a stable server (hash of its id).
     const size_t server_index = p % servers_.size();
     SimClient* client = clients_[p].get();
-    const double jitter = network_.rng().NextDouble() * 600.0;
-    network_.queue().ScheduleAt(day_start + jitter, [client, this, server_index] {
+    const double jitter = crawl_rng_.NextDouble() * 600.0;
+    const NodeId node = client->node_id();
+    const double delay = std::max(0.0, day_start + jitter - network_.NodeNow(node));
+    network_.ScheduleOn(node, delay, [client, this, server_index] {
       client->Connect(servers_[server_index]->node_id(), nullptr);
     });
   }
@@ -223,7 +235,7 @@ void CrawlSimulation::CrawlDay(int day, uint32_t budget, CrawlDayStats& stats) {
       });
     }
   }
-  network_.queue().Run();
+  network_.Run();
   assert(*pending == 0);
   stats.users_discovered = static_cast<uint32_t>(discovered.size());
   stats.reachable_users = stats.users_discovered;
@@ -245,7 +257,7 @@ void CrawlSimulation::CrawlDay(int day, uint32_t budget, CrawlDayStats& stats) {
   if (targets.size() > budget) {
     // Bandwidth-constrained days browse a random subset, like the real
     // crawler that could no longer cycle through everyone.
-    network_.rng().Shuffle(targets);
+    crawl_rng_.Shuffle(targets);
     targets.resize(budget);
     std::sort(targets.begin(), targets.end());
   }
@@ -272,7 +284,7 @@ void CrawlSimulation::CrawlDay(int day, uint32_t budget, CrawlDayStats& stats) {
       result_.observed.AddSnapshot(PeerId(peer_index), day, std::move(files));
     });
   }
-  network_.queue().Run();
+  network_.Run();
 }
 
 CrawlResult CrawlSimulation::Run() {
@@ -286,7 +298,7 @@ CrawlResult CrawlSimulation::Run() {
   for (size_t s = 0; s < probes_.size(); ++s) {
     probes_[s]->Connect(servers_[s]->node_id(), nullptr);
   }
-  network_.queue().Run();
+  network_.Run();
 
   const int last_day = config_.workload.first_day + config_.workload.num_days - 1;
   double budget = config_.initial_daily_browse_budget;
@@ -307,7 +319,7 @@ CrawlResult CrawlSimulation::Run() {
     }
 
     ConnectOnlinePeers(day_start);
-    network_.queue().RunUntil(day_start + 1'200.0);  // Let connects settle.
+    network_.RunUntil(day_start + 1'200.0);  // Let connects settle.
 
     CrawlDayStats stats;
     CrawlDay(day, static_cast<uint32_t>(budget), stats);
@@ -316,7 +328,7 @@ CrawlResult CrawlSimulation::Run() {
                           << " users, " << stats.browses_succeeded << " browses";
 
     DisconnectAll();
-    network_.queue().Run();
+    network_.Run();
     budget *= config_.browse_budget_decay;
   }
   result_.messages_sent = network_.messages_sent();

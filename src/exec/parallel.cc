@@ -59,8 +59,13 @@ struct ForState {
 }  // namespace
 
 size_t HardwareThreads() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
+  // Asked once: hardware_concurrency() is a syscall, and DefaultThreads()
+  // runs on every ParallelFor, which the sharded engine calls per window.
+  static const size_t threads = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? size_t{1} : size_t{n};
+  }();
+  return threads;
 }
 
 size_t DefaultThreads() {

@@ -9,9 +9,10 @@
 // work, which both keeps the serial path allocation-free and makes nested
 // ParallelFor calls deadlock-free even when the pool is saturated.
 //
-// The simulation kernel (EventQueue) stays single-threaded; only the
-// embarrassingly parallel *outer* loops — per-day analyses, per-list-size /
-// per-strategy sweeps, randomisation trials — run on the pool.
+// Each shard's event queue in the simulation kernel (src/sim) stays
+// single-threaded; the engine runs shards, and the embarrassingly parallel
+// *outer* loops — per-day analyses, per-list-size / per-strategy sweeps,
+// randomisation trials — run on the pool.
 
 #ifndef SRC_EXEC_PARALLEL_H_
 #define SRC_EXEC_PARALLEL_H_

@@ -562,7 +562,8 @@ void SimClient::RequestNextBlock(std::shared_ptr<DownloadState> state) {
   const NodeId self = node_id();
   const uint32_t block = state->next_block;
   network_->Send(self, state->source, [this, remote, self, state, block] {
-    auto payload = remote->HandleBlockRequest(state->info.digest, block, network_->rng());
+    auto payload = remote->HandleBlockRequest(state->info.digest, block,
+                                              network_->NodeRng(state->source));
     const double transfer = static_cast<double>(payload.size()) /
                             remote->config().uplink_bytes_per_second;
     network_->Send(state->source, self,

@@ -260,7 +260,7 @@ void DownloadManager::RequestBlock(NodeId source, uint32_t block) {
   const NodeId self = owner_->node_id();
   network_->Send(self, source, [this, transfer, remote, source, self, block] {
     auto payload = remote->HandleBlockRequest(transfer->info.digest, block,
-                                              network_->rng());
+                                              network_->NodeRng(source));
     const double transmit = static_cast<double>(payload.size()) /
                             remote->config().uplink_bytes_per_second;
     network_->Send(source, self,

@@ -1,54 +1,19 @@
 #include "src/net/event_queue.h"
 
 #include <cassert>
-#include <optional>
 
 #include "src/obs/metrics.h"
-#include "src/obs/span.h"
-#include "src/obs/trace_log.h"
 
 namespace edk {
 
 namespace {
 
-// Process-wide simulation-kernel metrics (see DESIGN.md on edk::obs).
-// Counters sum and the depth gauge takes a max across every queue in the
-// process, so totals are deterministic even when parallel sweep tasks each
-// drive their own queue. Pointers are fetched once; Reset() never
-// invalidates them.
-struct QueueMetrics {
-  obs::Counter* scheduled;
-  obs::Counter* cancelled;
-  obs::Counter* run;
-  obs::Counter* sim_millis;  // Sim-time advanced by executed events.
-  obs::Gauge* max_pending;
-};
-
-QueueMetrics& Metrics() {
-  auto& registry = obs::MetricsRegistry::Global();
-  static QueueMetrics metrics{
-      &registry.GetCounter("eventq.events_scheduled"),
-      &registry.GetCounter("eventq.events_cancelled"),
-      &registry.GetCounter("eventq.events_run"),
-      &registry.GetCounter("eventq.sim_millis"),
-      &registry.GetGauge("eventq.max_pending"),
-  };
-  return metrics;
-}
-
-// Wall spans for whole-queue drains. Engine-owned (uninstrumented) queues
-// skip these exactly like the eventq.* metrics: a per-shard drain is
-// already traced by the engine as sim.shard_drain.
-uint16_t RunSpanName() {
-  static const uint16_t name =
-      obs::TraceLog::Global().InternName("eventq.run", {"events"});
-  return name;
-}
-
-uint16_t RunUntilSpanName() {
-  static const uint16_t name =
-      obs::TraceLog::Global().InternName("eventq.run_until", {"events"});
-  return name;
+// Process-wide count of cancelled events. Each cancel is a node's own
+// action, so the total is the same for any shard or thread count.
+obs::Counter& CancelledCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().GetCounter("eventq.events_cancelled");
+  return counter;
 }
 
 }  // namespace
@@ -61,7 +26,7 @@ bool EventQueue::EventHandle::Cancel() {
   // The event is dead from this moment even though it still sits in the
   // priority queue; the pop paths discard it without touching the count.
   --*live_;
-  Metrics().cancelled->Increment();
+  CancelledCounter().Increment();
   return true;
 }
 
@@ -85,11 +50,6 @@ EventQueue::EventHandle EventQueue::ScheduleAt(double when, Callback fn) {
   auto cancelled = std::make_shared<bool>(false);
   events_.push(Event{when, next_sequence_++, std::move(fn), cancelled});
   ++*live_;
-  if (metrics_enabled_) {
-    QueueMetrics& metrics = Metrics();
-    metrics.scheduled->Increment();
-    metrics.max_pending->UpdateMax(static_cast<int64_t>(*live_));
-  }
   return EventHandle(std::move(cancelled), live_);
 }
 
@@ -115,13 +75,6 @@ bool EventQueue::PopAndRun() {
       continue;  // Cancel() already removed it from the live count.
     }
     --*live_;
-    if (metrics_enabled_) {
-      QueueMetrics& metrics = Metrics();
-      metrics.run->Increment();
-      if (event.time > now_) {
-        metrics.sim_millis->Increment(static_cast<uint64_t>((event.time - now_) * 1e3));
-      }
-    }
     now_ = event.time;
     // Mark consumed before running: handles report not-pending from inside
     // the callback, and a late Cancel() is a no-op.
@@ -133,35 +86,14 @@ bool EventQueue::PopAndRun() {
 }
 
 size_t EventQueue::Run() {
-  // Wall-clock cost of draining the queue; together with the deterministic
-  // eventq.sim_millis counter this yields the sim-time / wall-time ratio.
-  // Engine-owned (uninstrumented) queues skip the timer: it takes the
-  // registry mutex, which would serialise the per-window shard drains.
-  std::optional<obs::PhaseTimer> timer;
-  if (metrics_enabled_) {
-    timer.emplace("eventq.run");
-  }
-  obs::WallSpan span(metrics_enabled_ ? RunSpanName() : 0);
-  if (!metrics_enabled_) {
-    span.Cancel();
-  }
   size_t executed = 0;
   while (PopAndRun()) {
     ++executed;
   }
-  span.AddArg(executed);
   return executed;
 }
 
 size_t EventQueue::RunUntil(double until) {
-  std::optional<obs::PhaseTimer> timer;
-  if (metrics_enabled_) {
-    timer.emplace("eventq.run_until");
-  }
-  obs::WallSpan span(metrics_enabled_ ? RunUntilSpanName() : 0);
-  if (!metrics_enabled_) {
-    span.Cancel();
-  }
   size_t executed = 0;
   while (!events_.empty()) {
     // Skip cancelled events eagerly so the top is always live.
@@ -179,7 +111,6 @@ size_t EventQueue::RunUntil(double until) {
   if (now_ < until) {
     now_ = until;
   }
-  span.AddArg(executed);
   return executed;
 }
 

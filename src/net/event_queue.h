@@ -1,6 +1,8 @@
-// Discrete-event simulation kernel.
+// One shard's event queue.
 //
-// A single-threaded event queue with virtual time in seconds. Events are
+// A single-threaded event queue with virtual time in seconds; every queue
+// the simulation runs on belongs to a shard of edk::sim::ShardedEngine,
+// which reports the sim.* metrics and spans for it. Events are
 // closures ordered by (time, insertion sequence), which gives two ordering
 // contracts that the rest of the system (in particular the sharded-engine
 // mailbox merge, see src/sim/sharded_engine.h) relies on:
@@ -70,13 +72,6 @@ class EventQueue {
   // it is O(1) amortised.
   bool PeekNextTime(double* when);
 
-  // Disables the process-wide eventq.* metrics for this queue. The sharded
-  // engine owns one queue per shard and reports aggregated sim.* metrics
-  // instead: the per-queue totals (sim-time deltas, max depth) depend on
-  // how nodes are partitioned, which would break the bit-identical-across
-  // --shards guarantee of the deterministic metrics domain.
-  void set_metrics_enabled(bool enabled) { metrics_enabled_ = enabled; }
-
  private:
   struct Event {
     double time;
@@ -98,7 +93,6 @@ class EventQueue {
   std::priority_queue<Event, std::vector<Event>, Later> events_;
   double now_ = 0;
   uint64_t next_sequence_ = 0;
-  bool metrics_enabled_ = true;
   // Pending (non-cancelled, not yet executed) events. Shared with handles:
   // Cancel() decrements it directly, execution paths decrement on pop.
   std::shared_ptr<size_t> live_ = std::make_shared<size_t>(0);

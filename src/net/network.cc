@@ -24,15 +24,9 @@ NetMetrics& Metrics() {
   return metrics;
 }
 
-}  // namespace
-
-SimNetwork::SimNetwork(const Geography* geography, uint64_t seed)
-    : geography_(geography), rng_(seed), latency_(geography) {}
-
-SimNetwork::SimNetwork(const Geography* geography, const SimNetConfig& config)
-    : geography_(geography), rng_(config.seed), latency_(geography) {
+sim::ShardedEngineConfig EngineConfig(const SimNetConfig& config) {
   sim::ShardedEngineConfig engine_config;
-  engine_config.shards = config.shards == 0 ? 1 : config.shards;
+  engine_config.shards = config.shards;
   engine_config.placement = config.placement;
   engine_config.threads = config.threads;
   engine_config.seed = config.seed;
@@ -44,23 +38,20 @@ SimNetwork::SimNetwork(const Geography* geography, const SimNetConfig& config)
   engine_config.max_window =
       config.window_factor > 1.0 ? config.window_factor * LatencyModel::MinDelay()
                                  : 0.0;
-  engine_ = std::make_unique<sim::ShardedEngine>(std::move(engine_config));
+  return engine_config;
 }
 
-EventQueue& SimNetwork::queue() {
-  assert(engine_ == nullptr && "queue() is a legacy-kernel seam; sharded-mode "
-                               "code must use ScheduleOn/NodeNow");
-  return queue_;
-}
+}  // namespace
+
+SimNetwork::SimNetwork(const Geography* geography, const SimNetConfig& config)
+    : geography_(geography), latency_(geography), engine_(EngineConfig(config)) {}
 
 NodeId SimNetwork::Register(SimNode* node) {
   assert(node != nullptr);
   assert(node->node_id_ == kInvalidNode && "node registered twice");
   node->node_id_ = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(node);
-  if (engine_ != nullptr) {
-    engine_->EnsureNodes(static_cast<uint32_t>(nodes_.size()));
-  }
+  engine_.EnsureNodes(static_cast<uint32_t>(nodes_.size()));
   return node->node_id_;
 }
 
@@ -78,58 +69,7 @@ void SimNetwork::Send(NodeId from, NodeId to, std::function<void()> handler,
   NetMetrics& metrics = Metrics();
   metrics.messages->Increment();
   metrics.delay->Record(delay);
-  if (engine_ != nullptr) {
-    engine_->Send(from, to, delay, std::move(handler));
-    return;
-  }
-  ++messages_sent_;
-  queue_.Schedule(delay, std::move(handler));
-}
-
-EventQueue::EventHandle SimNetwork::ScheduleOn(NodeId node, double delay,
-                                               EventQueue::Callback fn) {
-  if (engine_ != nullptr) {
-    return engine_->ScheduleOn(node, delay, std::move(fn));
-  }
-  (void)node;
-  return queue_.Schedule(delay, std::move(fn));
-}
-
-double SimNetwork::NodeNow(NodeId node) const {
-  if (engine_ != nullptr) {
-    return engine_->NodeNow(node);
-  }
-  (void)node;
-  return queue_.now();
-}
-
-Rng& SimNetwork::NodeRng(NodeId node) {
-  if (engine_ != nullptr) {
-    return engine_->NodeRng(node);
-  }
-  (void)node;
-  return rng_;
-}
-
-size_t SimNetwork::Run() {
-  if (engine_ != nullptr) {
-    return static_cast<size_t>(engine_->Run());
-  }
-  return queue_.Run();
-}
-
-size_t SimNetwork::RunUntil(double until) {
-  if (engine_ != nullptr) {
-    return static_cast<size_t>(engine_->RunUntil(until));
-  }
-  return queue_.RunUntil(until);
-}
-
-uint64_t SimNetwork::messages_sent() const {
-  if (engine_ != nullptr) {
-    return engine_->messages_sent();
-  }
-  return messages_sent_;
+  engine_.Send(from, to, delay, std::move(handler));
 }
 
 }  // namespace edk

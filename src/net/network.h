@@ -5,26 +5,26 @@
 // one-way geographic delay between the two endpoints; nodes never call
 // each other directly, so all interactions respect simulated time.
 //
-// Two kernels back the fabric:
+// The kernel is an edk::sim::ShardedEngine. It partitions the nodes
+// across SimNetConfig::shards shards and runs them in conservative
+// windows whose width is the latency model's MinDelay() lookahead. Every
+// random draw a node makes, message delays included, comes from that
+// node's own stream (NodeRng), so results are bit-identical for any
+// shards/threads combination (see src/sim/sharded_engine.h). One shard
+// runs every event on the calling thread, in time order: a caller whose
+// callbacks share state across nodes (the crawler, the examples, most
+// unit tests) runs at shards=1.
 //
-//   * Legacy single-queue mode (the `(geography, seed)` constructor):
-//     one EventQueue, one shared RNG — exactly the original behaviour,
-//     still used by the crawler and the unit tests.
-//   * Sharded mode (the `(geography, SimNetConfig)` constructor): an
-//     edk::sim::ShardedEngine partitions the nodes across K shards and
-//     runs them in conservative windows whose width is the latency
-//     model's MinDelay() lookahead. Delays are then sampled from the
-//     *sender's* per-node RNG stream, so results are bit-identical for
-//     any shards/threads combination (see src/sim/sharded_engine.h).
-//
-// Code meant to run in either mode must use the node-scoped seams
-// (Send, ScheduleOn, NodeNow) instead of touching queue() directly.
+// Node code reaches the kernel only through the node-scoped seams (Send,
+// ScheduleOn, NodeNow, NodeRng), from setup or from that node's own
+// events. Callers drive it with Run() and RunUntil() and read the clock
+// between runs with now().
 
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
 #include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -59,9 +59,7 @@ class SimNode {
 
 struct SimNetConfig {
   uint64_t seed = 1;
-  // Shard count for the sharded engine (>= 1). Even shards=1 runs on the
-  // engine — the partition-independent determinism contract compares
-  // engine runs with each other, not with the legacy kernel.
+  // Shard count for the sharded engine (>= 1).
   size_t shards = 1;
   // Worker threads per window (0 = DefaultThreads()).
   size_t threads = 0;
@@ -80,18 +78,10 @@ struct SimNetConfig {
 
 class SimNetwork {
  public:
-  // Legacy single-queue kernel. `geography` must outlive the network.
-  SimNetwork(const Geography* geography, uint64_t seed);
-  // Sharded conservative engine with MinDelay() lookahead.
+  // `geography` must outlive the network.
   SimNetwork(const Geography* geography, const SimNetConfig& config);
 
-  bool sharded() const { return engine_ != nullptr; }
-  // Legacy mode only: the single event queue.
-  EventQueue& queue();
-  // Sharded mode only: the underlying engine.
-  sim::ShardedEngine& engine() { return *engine_; }
-
-  Rng& rng() { return rng_; }
+  sim::ShardedEngine& engine() { return engine_; }
   const LatencyModel& latency() const { return latency_; }
   const Geography& geography() const { return *geography_; }
 
@@ -101,40 +91,41 @@ class SimNetwork {
   size_t node_count() const { return nodes_.size(); }
 
   // Delivers `handler` at the destination after the one-way delay between
-  // the two nodes (plus `extra_delay`, e.g. serialisation time). In
-  // sharded mode the delay is drawn from the sender's node RNG stream and
-  // must be issued from the sender's own events (or setup).
+  // the two nodes (plus `extra_delay`, e.g. serialisation time). The delay
+  // is drawn from the sender's stream; call from setup or from the
+  // sender's own events.
   void Send(NodeId from, NodeId to, std::function<void()> handler,
             double extra_delay = 0.0);
 
-  // Node-scoped kernel seams, valid in both modes. In sharded mode they
-  // target the node's shard and must be called from setup or from that
-  // node's own events.
+  // Timer on the node's shard, `delay` seconds after its clock. Call from
+  // setup or from the node's own events.
   EventQueue::EventHandle ScheduleOn(NodeId node, double delay,
-                                     EventQueue::Callback fn);
-  double NodeNow(NodeId node) const;
-  // The node's private RNG stream (sharded mode); the shared network RNG
-  // in legacy mode.
-  Rng& NodeRng(NodeId node);
+                                     EventQueue::Callback fn) {
+    return engine_.ScheduleOn(node, delay, std::move(fn));
+  }
+  // The node's shard clock: the event's timestamp inside one of its
+  // events, now() between runs.
+  double NodeNow(NodeId node) const { return engine_.NodeNow(node); }
+  // The node's private random stream.
+  Rng& NodeRng(NodeId node) { return engine_.NodeRng(node); }
 
-  // Drives the kernel in either mode. Returns events executed.
-  size_t Run();
-  size_t RunUntil(double until);
+  // Drive the kernel; both return the events executed.
+  size_t Run() { return static_cast<size_t>(engine_.Run()); }
+  size_t RunUntil(double until) { return static_cast<size_t>(engine_.RunUntil(until)); }
+  // Where the last Run/RunUntil left every clock (0 before the first).
+  double now() const { return engine_.now(); }
 
-  // One-way delay sample between two registered nodes. Draws from the
-  // sender's stream in sharded mode.
+  // One-way delay sample between two registered nodes, drawn from the
+  // sender's stream.
   double DelayBetween(NodeId from, NodeId to);
 
-  uint64_t messages_sent() const;
+  uint64_t messages_sent() const { return engine_.messages_sent(); }
 
  private:
   const Geography* geography_;
-  Rng rng_;
-  EventQueue queue_;
   LatencyModel latency_;
-  std::unique_ptr<sim::ShardedEngine> engine_;
+  sim::ShardedEngine engine_;
   std::vector<SimNode*> nodes_;
-  uint64_t messages_sent_ = 0;
 };
 
 }  // namespace edk

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -26,6 +27,9 @@
 namespace edk::netio {
 
 namespace {
+
+// Bytes per read() call in the worker loops.
+constexpr size_t kReadChunkBytes = 64 * 1024;
 
 // Env-domain counters: real-I/O event counts depend on wall-clock timing,
 // so they live in the "wall" section of the metrics export and never
@@ -182,6 +186,8 @@ struct TcpServer::Worker {
   // Mirror of connections.size() readable from other threads (the gauge
   // refresh in RefreshProcessGauges); only the owning worker writes it.
   std::atomic<size_t> conn_count{0};
+  // Every read() of this worker's connections lands here; allocated once.
+  std::array<char, kReadChunkBytes> read_buf{};
 };
 
 TcpServer::TcpServer(TcpServerConfig config)
@@ -480,7 +486,7 @@ void TcpServer::WorkerLoop(Worker& worker) {
 
 bool TcpServer::ServiceReadable(Worker& worker, Connection& conn) {
   bool saw_eof = false;
-  std::string chunk(config_.read_chunk_bytes, '\0');
+  std::array<char, kReadChunkBytes>& chunk = worker.read_buf;
   while (true) {
     const ssize_t n = read(conn.fd, chunk.data(), chunk.size());
     if (n > 0) {

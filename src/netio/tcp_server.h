@@ -57,8 +57,6 @@ struct TcpServerConfig {
   // First NodeId handed to a TCP login. Leave room below for ids assigned
   // to a corpus preloaded straight into core() (PreloadServeCorpus).
   NodeId first_client_id = 1;
-  // Bytes per read() call in the worker loops.
-  size_t read_chunk_bytes = 64 * 1024;
   // Dispatches slower than this land in the bounded slow-request log
   // (drained through StatsRep). 0 logs every request; < 0 disables.
   double slow_request_threshold_us = 10'000;

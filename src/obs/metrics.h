@@ -1,7 +1,7 @@
 // edk::obs — lightweight metrics & tracing for the simulation stack.
 //
 // A process-wide MetricsRegistry holds named counters, gauges and value
-// histograms that the hot layers (EventQueue, net, semantic, workload)
+// histograms that the hot layers (sim, net, semantic, workload)
 // increment, plus wall-clock phase timings kept strictly apart from the
 // simulation-derived values. The split matters for reproducibility:
 //

@@ -73,9 +73,6 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config)
   shards_ = std::vector<Shard>(config_.shards);
   for (Shard& shard : shards_) {
     shard.outbox.resize(config_.shards);
-    // Shard queues report through the engine's sim.* metrics; the
-    // per-queue eventq.* totals would depend on the partitioning.
-    shard.queue.set_metrics_enabled(false);
   }
   obs::MetricsRegistry::Global()
       .GetGauge("sim.window_width_micros")

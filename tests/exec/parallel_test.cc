@@ -160,10 +160,12 @@ TEST(DeterminismTest, TaskRngMatchesTaskSeed) {
 }
 
 TEST(ThreadPoolTest, RunsSubmittedJobs) {
-  ThreadPool pool(4);
   std::atomic<int> ran{0};
   std::mutex mutex;
   std::condition_variable cv;
+  // Declared after what the jobs touch, so its destructor joins the
+  // workers before the last job's notify can outlive `cv`.
+  ThreadPool pool(4);
   constexpr int kJobs = 100;
   for (int i = 0; i < kJobs; ++i) {
     pool.Submit([&] {

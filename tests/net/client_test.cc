@@ -9,7 +9,7 @@ namespace {
 
 class ClientTest : public ::testing::Test {
  protected:
-  ClientTest() : geo_(Geography::PaperDistribution()), network_(&geo_, 7) {
+  ClientTest() : geo_(Geography::PaperDistribution()), network_(&geo_, SimNetConfig{.seed = 7}) {
     server_ = std::make_unique<SimServer>(&network_, ServerConfig{});
     server_->set_attachment(geo_.FindCountry("DE"), AsId(3));
   }
@@ -57,7 +57,7 @@ TEST_F(ClientTest, ConnectPublishesCache) {
   client->AddLocalFile(SimClient::MakeFileInfo(FileId(1), 4000, "song one.mp3"));
   bool connected = false;
   client->Connect(server_->node_id(), [&](bool ok) { connected = ok; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(connected);
   EXPECT_TRUE(client->connected());
   EXPECT_EQ(server_->connected_users(), 1u);
@@ -68,9 +68,9 @@ TEST_F(ClientTest, DisconnectRemovesFromIndex) {
   auto client = MakeClient("alice");
   client->AddLocalFile(SimClient::MakeFileInfo(FileId(1), 4000, "song.mp3"));
   client->Connect(server_->node_id(), nullptr);
-  network_.queue().Run();
+  network_.Run();
   client->Disconnect();
-  network_.queue().Run();
+  network_.Run();
   EXPECT_FALSE(client->connected());
   EXPECT_EQ(server_->connected_users(), 0u);
   EXPECT_EQ(server_->indexed_files(), 0u);
@@ -83,13 +83,13 @@ TEST_F(ClientTest, SearchAndQuerySourcesRoundTrip) {
   alice->AddLocalFile(info);
   alice->Connect(server_->node_id(), nullptr);
   bob->Connect(server_->node_id(), nullptr);
-  network_.queue().Run();
+  network_.Run();
 
   std::vector<SharedFileInfo> found;
   bob->Search({"rare", "live"}, [&](std::vector<SharedFileInfo> results) {
     found = std::move(results);
   });
-  network_.queue().Run();
+  network_.Run();
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].digest, info.digest);
 
@@ -97,7 +97,7 @@ TEST_F(ClientTest, SearchAndQuerySourcesRoundTrip) {
   bob->QuerySources(info.digest, [&](std::vector<SourceRecord> results) {
     sources = std::move(results);
   });
-  network_.queue().Run();
+  network_.Run();
   ASSERT_EQ(sources.size(), 1u);
   EXPECT_EQ(sources[0].node, alice->node_id());
 }
@@ -109,7 +109,7 @@ TEST_F(ClientTest, BrowseReturnsSharedList) {
   alice->AddLocalFile(SimClient::MakeFileInfo(FileId(2), 100, "two.mp3"));
   std::optional<std::vector<SharedFileInfo>> reply;
   bob->Browse(alice->node_id(), [&](auto r) { reply = std::move(r); });
-  network_.queue().Run();
+  network_.Run();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->size(), 2u);
 }
@@ -127,7 +127,7 @@ TEST_F(ClientTest, BrowseDeniedWhenDisabled) {
     called = true;
     reply = std::move(r);
   });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(called);
   EXPECT_FALSE(reply.has_value());
 }
@@ -137,7 +137,7 @@ TEST_F(ClientTest, FirewalledTargetUnreachableWithoutServer) {
   auto bob = MakeClient("bob");
   std::optional<std::vector<SharedFileInfo>> reply{std::vector<SharedFileInfo>{}};
   bob->Browse(alice->node_id(), [&](auto r) { reply = std::move(r); });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_FALSE(reply.has_value());
 }
 
@@ -145,11 +145,11 @@ TEST_F(ClientTest, FirewalledTargetReachableThroughServerCallback) {
   auto alice = MakeClient("alice", /*firewalled=*/true);
   alice->AddLocalFile(SimClient::MakeFileInfo(FileId(1), 100, "hidden.mp3"));
   alice->Connect(server_->node_id(), nullptr);
-  network_.queue().Run();
+  network_.Run();
   auto bob = MakeClient("bob");
   std::optional<std::vector<SharedFileInfo>> reply;
   bob->Browse(alice->node_id(), [&](auto r) { reply = std::move(r); });
-  network_.queue().Run();
+  network_.Run();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->size(), 1u);
 }
@@ -157,11 +157,11 @@ TEST_F(ClientTest, FirewalledTargetReachableThroughServerCallback) {
 TEST_F(ClientTest, TwoFirewalledPeersCannotConnect) {
   auto alice = MakeClient("alice", /*firewalled=*/true);
   alice->Connect(server_->node_id(), nullptr);
-  network_.queue().Run();
+  network_.Run();
   auto bob = MakeClient("bob", /*firewalled=*/true);
   std::optional<std::vector<SharedFileInfo>> reply{std::vector<SharedFileInfo>{}};
   bob->Browse(alice->node_id(), [&](auto r) { reply = std::move(r); });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_FALSE(reply.has_value());
 }
 
@@ -173,7 +173,7 @@ TEST_F(ClientTest, DownloadTransfersAndVerifiesAllBlocks) {
   alice->AddLocalFile(info);
   bool success = false;
   bob->Download(alice->node_id(), info, [&](bool ok) { success = ok; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(success);
   EXPECT_TRUE(bob->HasCompleteFile(info.digest));
   EXPECT_TRUE(bob->SharesFile(info.digest));
@@ -193,7 +193,7 @@ TEST_F(ClientTest, DownloadRetriesCorruptedBlocks) {
     success = ok;
     done = true;
   });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(done);
   // With 30% corruption and 3 retries per block, success is overwhelmingly
   // likely; corrupted blocks must have been detected either way.
@@ -209,7 +209,7 @@ TEST_F(ClientTest, DownloadFromNonSharerFails) {
   const auto info = SimClient::MakeFileInfo(FileId(9), 1'000'000, "ghost.avi");
   bool success = true;
   bob->Download(alice->node_id(), info, [&](bool ok) { success = ok; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_FALSE(success);
   EXPECT_EQ(bob->downloads_failed(), 1u);
 }
@@ -223,13 +223,13 @@ TEST_F(ClientTest, PartialSharingPublishesDuringDownload) {
   alice->AddLocalFile(info);
   alice->Connect(server_->node_id(), nullptr);
   bob->Connect(server_->node_id(), nullptr);
-  network_.queue().Run();
+  network_.Run();
   bob->Download(alice->node_id(), info, nullptr);
-  network_.queue().Run();
+  network_.Run();
   // After completion bob republished; server should list both sources.
   std::vector<SourceRecord> sources;
   bob->QuerySources(info.digest, [&](auto s) { sources = std::move(s); });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_EQ(sources.size(), 2u);
 }
 

@@ -17,7 +17,7 @@ namespace {
 
 class DownloadManagerTest : public ::testing::Test {
  protected:
-  DownloadManagerTest() : geo_(Geography::PaperDistribution()), network_(&geo_, 77) {
+  DownloadManagerTest() : geo_(Geography::PaperDistribution()), network_(&geo_, SimNetConfig{.seed = 77}) {
     for (int s = 0; s < 3; ++s) {
       auto server = std::make_unique<SimServer>(&network_, ServerConfig{});
       server->set_attachment(geo_.FindCountry("DE"), AsId(3));
@@ -41,7 +41,7 @@ class DownloadManagerTest : public ::testing::Test {
     auto client = std::make_unique<SimClient>(&network_, config);
     client->set_attachment(geo_.FindCountry("FR"), AsId(0));
     client->Connect(servers_[server_index]->node_id(), nullptr);
-    network_.queue().Run();
+    network_.Run();
     return client;
   }
 
@@ -55,13 +55,13 @@ TEST_F(DownloadManagerTest, SingleSourceCompletes) {
   auto seed = MakeClient("seed");
   seed->AddLocalFile(info);
   seed->Publish();
-  network_.queue().Run();
+  network_.Run();
 
   auto leech = MakeClient("leech");
   DownloadManager manager(&network_, leech.get(), MultiSourceConfig{});
   MultiSourceReport report;
   manager.Fetch(info, [&report](const MultiSourceReport& r) { report = r; });
-  network_.queue().Run();
+  network_.Run();
 
   EXPECT_TRUE(report.success);
   EXPECT_TRUE(leech->HasCompleteFile(info.digest));
@@ -81,13 +81,13 @@ TEST_F(DownloadManagerTest, SpreadsBlocksAcrossSources) {
     seed->Publish();
     seeds.push_back(std::move(seed));
   }
-  network_.queue().Run();
+  network_.Run();
 
   auto leech = MakeClient("leech");
   DownloadManager manager(&network_, leech.get(), MultiSourceConfig{});
   MultiSourceReport report;
   manager.Fetch(info, [&report](const MultiSourceReport& r) { report = r; });
-  network_.queue().Run();
+  network_.Run();
 
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.sources_discovered, 4u);
@@ -102,20 +102,20 @@ TEST_F(DownloadManagerTest, CrossServerDiscoveryViaUdp) {
   auto seed = MakeClient("seed", /*server_index=*/1);
   seed->AddLocalFile(info);
   seed->Publish();
-  network_.queue().Run();
+  network_.Run();
 
   auto leech = MakeClient("leech", /*server_index=*/0);
   DownloadManager manager(&network_, leech.get(), MultiSourceConfig{});
   MultiSourceReport report;
   manager.Fetch(info, [&report](const MultiSourceReport& r) { report = r; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(report.success);
 
   // Control: with global queries disabled the source is invisible.
   const auto info2 = SimClient::MakeFileInfo(FileId(4), 1'000'000, "remote2.avi");
   seed->AddLocalFile(info2);
   seed->Publish();
-  network_.queue().Run();
+  network_.Run();
   MultiSourceConfig local_only;
   local_only.use_global_queries = false;
   local_only.max_requery_rounds = 1;
@@ -123,7 +123,7 @@ TEST_F(DownloadManagerTest, CrossServerDiscoveryViaUdp) {
   MultiSourceReport report2;
   report2.success = true;
   manager2.Fetch(info2, [&report2](const MultiSourceReport& r) { report2 = r; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_FALSE(report2.success);
 }
 
@@ -137,7 +137,7 @@ TEST_F(DownloadManagerTest, PartialSourceServesOnlyItsBlocks) {
   for (uint32_t b = 0; b < 3; ++b) {
     partial->RegisterPartialBlock(info, b);
   }
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(partial->SharesFile(info.digest));
   EXPECT_FALSE(partial->HasCompleteFile(info.digest));
 
@@ -158,7 +158,7 @@ TEST_F(DownloadManagerTest, PartialSourceServesOnlyItsBlocks) {
   DownloadManager manager(&network_, leech.get(), MultiSourceConfig{});
   MultiSourceReport report;
   manager.Fetch(info, [&report](const MultiSourceReport& r) { report = r; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(report.success);
   EXPECT_TRUE(leech->HasCompleteFile(info.digest));
 }
@@ -185,7 +185,7 @@ TEST_F(DownloadManagerTest, SurvivesCorruptingSource) {
   auto bad = MakeClient("bad", 0, /*corruption=*/0.9);
   bad->AddLocalFile(info);
   bad->Publish();
-  network_.queue().Run();
+  network_.Run();
 
   auto leech = MakeClient("leech");
   MultiSourceConfig config;
@@ -193,7 +193,7 @@ TEST_F(DownloadManagerTest, SurvivesCorruptingSource) {
   DownloadManager manager(&network_, leech.get(), config);
   MultiSourceReport report;
   manager.Fetch(info, [&report](const MultiSourceReport& r) { report = r; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(report.success);
   EXPECT_GT(report.corrupted_blocks, 0u);
   EXPECT_TRUE(leech->HasCompleteFile(info.digest));
@@ -207,7 +207,7 @@ TEST_F(DownloadManagerTest, RequeryTimerFindsLateSources) {
   DownloadManager manager(&network_, leech.get(), config);
   MultiSourceReport report;
   bool done = false;
-  const double t0 = network_.queue().now();
+  const double t0 = network_.now();
   manager.Fetch(info, [&](const MultiSourceReport& r) {
     report = r;
     done = true;
@@ -215,7 +215,7 @@ TEST_F(DownloadManagerTest, RequeryTimerFindsLateSources) {
   // Nothing published yet: the manager arms the requery timer. Advance
   // bounded virtual time only, so the timer chain does not burn through
   // all its rounds before the seed shows up.
-  network_.queue().RunUntil(t0 + 10.0);
+  network_.RunUntil(t0 + 10.0);
   EXPECT_FALSE(done);
   // The seed appears (connect publishes its cache) before the next
   // requery fires at t0+60.
@@ -227,9 +227,9 @@ TEST_F(DownloadManagerTest, RequeryTimerFindsLateSources) {
   seed->set_attachment(geo_.FindCountry("FR"), AsId(0));
   seed->AddLocalFile(info);
   seed->Connect(servers_[0]->node_id(), nullptr);
-  network_.queue().RunUntil(t0 + 59.0);
+  network_.RunUntil(t0 + 59.0);
   EXPECT_FALSE(done);
-  network_.queue().RunUntil(t0 + 200.0);
+  network_.RunUntil(t0 + 200.0);
   EXPECT_TRUE(done);
   EXPECT_TRUE(report.success);
   EXPECT_GE(report.requery_rounds, 2u);
@@ -245,7 +245,7 @@ TEST_F(DownloadManagerTest, GivesUpAfterMaxRequeryRounds) {
   MultiSourceReport report;
   report.success = true;
   manager.Fetch(ghost, [&report](const MultiSourceReport& r) { report = r; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.requery_rounds, 3u);
   EXPECT_FALSE(manager.active());
@@ -258,7 +258,7 @@ TEST_F(DownloadManagerTest, AlreadyOwnedFileSucceedsInstantly) {
   DownloadManager manager(&network_, leech.get(), MultiSourceConfig{});
   MultiSourceReport report;
   manager.Fetch(info, [&report](const MultiSourceReport& r) { report = r; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.sources_discovered, 0u);
 }
@@ -270,18 +270,18 @@ TEST_F(DownloadManagerTest, DownloaderBecomesSourceMidTransfer) {
   auto seed = MakeClient("seed");
   seed->AddLocalFile(info);
   seed->Publish();
-  network_.queue().Run();
+  network_.Run();
 
   auto first = MakeClient("first");
   DownloadManager manager(&network_, first.get(), MultiSourceConfig{});
   manager.Fetch(info, nullptr);
-  network_.queue().Run();
+  network_.Run();
   ASSERT_TRUE(first->HasCompleteFile(info.digest));
 
   // The server should now also list `first` as a source.
   std::vector<SourceRecord> sources;
   first->QuerySources(info.digest, [&sources](auto s) { sources = std::move(s); });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_EQ(sources.size(), 2u);
 }
 
@@ -289,7 +289,7 @@ TEST_F(DownloadManagerTest, GetServerListAndGlobalQuery) {
   auto client = MakeClient("probe");
   std::vector<NodeId> list;
   client->GetServerList([&list](std::vector<NodeId> servers) { list = std::move(servers); });
-  network_.queue().Run();
+  network_.Run();
   // The server list excludes the server itself (it is not its own peer).
   EXPECT_EQ(list.size(), servers_.size() - 1);
 
@@ -299,7 +299,7 @@ TEST_F(DownloadManagerTest, GetServerListAndGlobalQuery) {
     called = true;
     EXPECT_TRUE(sources.empty());
   });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(called);
 }
 

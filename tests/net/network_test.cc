@@ -11,19 +11,20 @@ class TestNode : public SimNode {};
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : geo_(Geography::PaperDistribution()), network_(&geo_, 3) {}
+  NetworkTest() : geo_(Geography::PaperDistribution()), network_(&geo_, SimNetConfig{.seed = 3}) {}
 
   TestNode* MakeNode(const char* country) {
     nodes_.push_back(std::make_unique<TestNode>());
     TestNode* node = nodes_.back().get();
     const CountryId c = geo_.FindCountry(country);
-    node->set_attachment(c, geo_.SampleAs(c, network_.rng()));
+    node->set_attachment(c, geo_.SampleAs(c, rng_));
     network_.Register(node);
     return node;
   }
 
   Geography geo_;
   SimNetwork network_;
+  Rng rng_{3};
   std::vector<std::unique_ptr<TestNode>> nodes_;
 };
 
@@ -44,10 +45,10 @@ TEST_F(NetworkTest, SendDeliversAfterPositiveDelay) {
   double delivery_time = -1;
   network_.Send(a->node_id(), b->node_id(), [&] {
     delivered = true;
-    delivery_time = network_.queue().now();
+    delivery_time = network_.NodeNow(b->node_id());
   });
   EXPECT_FALSE(delivered);
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(delivered);
   // Intercontinental: at least the 130ms base.
   EXPECT_GE(delivery_time, 0.13);
@@ -59,12 +60,12 @@ TEST_F(NetworkTest, ExtraDelayIsAdditive) {
   TestNode* b = MakeNode("FR");
   double plain = -1;
   double padded = -1;
-  network_.Send(a->node_id(), b->node_id(), [&] { plain = network_.queue().now(); });
-  network_.queue().Run();
-  const double start = network_.queue().now();
+  network_.Send(a->node_id(), b->node_id(), [&] { plain = network_.NodeNow(b->node_id()); });
+  network_.Run();
+  const double start = network_.now();
   network_.Send(a->node_id(), b->node_id(),
-                [&] { padded = network_.queue().now(); }, /*extra_delay=*/5.0);
-  network_.queue().Run();
+                [&] { padded = network_.NodeNow(b->node_id()); }, /*extra_delay=*/5.0);
+  network_.Run();
   EXPECT_GE(padded - start, 5.0);
   EXPECT_LT(plain, 1.0);
 }
@@ -89,7 +90,7 @@ TEST_F(NetworkTest, MessageCounterAccumulates) {
     network_.Send(a->node_id(), b->node_id(), [] {});
   }
   EXPECT_EQ(network_.messages_sent(), 10u);
-  network_.queue().Run();
+  network_.Run();
   EXPECT_EQ(network_.messages_sent(), 10u);  // Counted at send, not delivery.
 }
 

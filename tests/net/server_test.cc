@@ -11,7 +11,7 @@ class ServerTest : public ::testing::Test {
  protected:
   ServerTest()
       : geo_(Geography::PaperDistribution()),
-        network_(&geo_, 1),
+        network_(&geo_, SimNetConfig{.seed = 1}),
         server_(&network_, ServerConfig{}) {
     server_.set_attachment(geo_.FindCountry("DE"), AsId(3));
   }

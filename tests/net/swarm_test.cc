@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/net/client.h"
+#include "src/net/download_manager.h"
 #include "src/net/server.h"
 
 namespace edk {
@@ -15,7 +17,7 @@ namespace {
 
 class SwarmTest : public ::testing::Test {
  protected:
-  SwarmTest() : geo_(Geography::PaperDistribution()), network_(&geo_, 31) {
+  SwarmTest() : geo_(Geography::PaperDistribution()), network_(&geo_, SimNetConfig{.seed = 31}) {
     server_ = std::make_unique<SimServer>(&network_, ServerConfig{});
     server_->set_attachment(geo_.FindCountry("DE"), AsId(3));
   }
@@ -30,7 +32,7 @@ class SwarmTest : public ::testing::Test {
     auto client = std::make_unique<SimClient>(&network_, config);
     client->set_attachment(geo_.FindCountry("FR"), AsId(0));
     client->Connect(server_->node_id(), nullptr);
-    network_.queue().Run();
+    network_.Run();
     return client;
   }
 
@@ -45,7 +47,7 @@ TEST_F(SwarmTest, FilePropagatesThroughSwarm) {
   auto seed = MakeClient("seed");
   seed->AddLocalFile(info);
   seed->Publish();
-  network_.queue().Run();
+  network_.Run();
 
   std::vector<std::unique_ptr<SimClient>> swarm;
   NodeId previous = seed->node_id();
@@ -53,7 +55,7 @@ TEST_F(SwarmTest, FilePropagatesThroughSwarm) {
     auto peer = MakeClient("leech" + std::to_string(i));
     bool done = false;
     peer->Download(previous, info, [&done](bool ok) { done = ok; });
-    network_.queue().Run();
+    network_.Run();
     ASSERT_TRUE(done) << "hop " << i;
     ASSERT_TRUE(peer->HasCompleteFile(info.digest));
     previous = peer->node_id();
@@ -62,7 +64,7 @@ TEST_F(SwarmTest, FilePropagatesThroughSwarm) {
   // Everyone republished: the server now lists 6 sources.
   std::vector<SourceRecord> sources;
   seed->QuerySources(info.digest, [&sources](auto s) { sources = std::move(s); });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_EQ(sources.size(), 6u);
 }
 
@@ -73,9 +75,9 @@ TEST_F(SwarmTest, EveryBlockIsVerifiedAcrossTheSwarm) {
   auto a = MakeClient("a");
   auto b = MakeClient("b");
   a->Download(seed->node_id(), info, nullptr);
-  network_.queue().Run();
+  network_.Run();
   b->Download(a->node_id(), info, nullptr);
-  network_.queue().Run();
+  network_.Run();
   ASSERT_TRUE(b->HasCompleteFile(info.digest));
   const uint32_t blocks = seed->BlockCount(info.size_bytes);
   EXPECT_GE(blocks, 10u);
@@ -98,7 +100,7 @@ TEST_F(SwarmTest, CorruptionIsDetectedNotSilentlyAccepted) {
     completed = ok;
     finished = true;
   });
-  network_.queue().Run();
+  network_.Run();
   ASSERT_TRUE(finished);
   EXPECT_GT(leech->blocks_corrupted(), 0u);
   if (completed) {
@@ -122,9 +124,9 @@ TEST_F(SwarmTest, SourceDisappearingMidDownloadFailsCleanly) {
   });
   // Let the hashset exchange and a couple of blocks through, then the seed
   // stops sharing the file.
-  network_.queue().RunUntil(network_.queue().now() + 0.8);
+  network_.RunUntil(network_.now() + 0.8);
   seed->RemoveLocalFile(info.digest);
-  network_.queue().Run();
+  network_.Run();
   ASSERT_TRUE(finished);
   EXPECT_FALSE(completed);
   EXPECT_FALSE(leech->HasCompleteFile(info.digest));
@@ -135,15 +137,15 @@ TEST_F(SwarmTest, ServerChurnDropsIndexButNotLocalFiles) {
   auto peer = MakeClient("steady");
   peer->AddLocalFile(info);
   peer->Publish();
-  network_.queue().Run();
+  network_.Run();
   EXPECT_EQ(server_->indexed_files(), 1u);
   peer->Disconnect();
-  network_.queue().Run();
+  network_.Run();
   EXPECT_EQ(server_->indexed_files(), 0u);
   EXPECT_TRUE(peer->HasCompleteFile(info.digest));
   // Reconnect republishes automatically.
   peer->Connect(server_->node_id(), nullptr);
-  network_.queue().Run();
+  network_.Run();
   EXPECT_EQ(server_->indexed_files(), 1u);
 }
 
@@ -161,10 +163,121 @@ TEST_F(SwarmTest, ConcurrentDownloadersFromOneSeed) {
       completed += ok ? 1 : 0;
     });
   }
-  network_.queue().Run();
+  network_.Run();
   EXPECT_EQ(completed, 8);
   for (auto& leech : leeches) {
     EXPECT_TRUE(leech->HasCompleteFile(info.digest));
+  }
+}
+
+// What a corrupting swarm did: per leech, the blocks it received, the
+// corrupted blocks it detected and retried, and how its download ended.
+struct CorruptSwarmOutcome {
+  std::vector<uint64_t> blocks_received;
+  std::vector<uint64_t> blocks_corrupted;
+  std::vector<uint64_t> downloads_failed;
+  std::vector<int> completed;  // 1 ok, 0 failed, -1 never finished.
+  std::vector<uint32_t> manager_corrupted;
+  std::vector<uint32_t> manager_sources_used;
+  std::vector<int> manager_success;
+  uint64_t messages = 0;
+};
+
+// Two corrupting seeds serve a crowd of leeches, half through
+// SimClient::Download and half through a DownloadManager, on an engine with
+// the given shard and thread counts. Each corruption draw belongs to the
+// serving node, so the outcome must not depend on how nodes are sharded or
+// on which worker runs them.
+CorruptSwarmOutcome RunCorruptSwarm(size_t shards, size_t threads) {
+  const Geography geo = Geography::PaperDistribution();
+  SimNetConfig net_config;
+  net_config.seed = 31;
+  net_config.shards = shards;
+  net_config.threads = threads;
+  SimNetwork network(&geo, net_config);
+  SimServer server(&network, ServerConfig{});
+  server.set_attachment(geo.FindCountry("DE"), AsId(3));
+
+  auto make_client = [&](const std::string& nickname, double corruption,
+                         const char* country) {
+    ClientConfig config;
+    config.nickname = nickname;
+    config.block_size = 256;
+    config.content_scale = 0.001;
+    config.corruption_probability = corruption;
+    auto client = std::make_unique<SimClient>(&network, config);
+    client->set_attachment(geo.FindCountry(country), AsId(0));
+    client->Connect(server.node_id(), nullptr);
+    return client;
+  };
+  const auto info = SimClient::MakeFileInfo(FileId(90), 3'000'000, "noisy swarm.avi");
+  std::vector<std::unique_ptr<SimClient>> seeds;
+  seeds.push_back(make_client("badseed0", 0.3, "FR"));
+  seeds.push_back(make_client("badseed1", 0.2, "ES"));
+  for (auto& seed : seeds) {
+    seed->AddLocalFile(info);
+  }
+  constexpr size_t kLeeches = 8;
+  std::vector<std::unique_ptr<SimClient>> leeches;
+  for (size_t i = 0; i < kLeeches; ++i) {
+    leeches.push_back(make_client("leech" + std::to_string(i), 0.0,
+                                  i % 2 == 0 ? "FR" : "US"));
+  }
+  network.Run();
+
+  CorruptSwarmOutcome outcome;
+  outcome.completed.assign(kLeeches, -1);
+  outcome.manager_corrupted.assign(kLeeches, 0);
+  outcome.manager_sources_used.assign(kLeeches, 0);
+  outcome.manager_success.assign(kLeeches, -1);
+  std::vector<std::unique_ptr<DownloadManager>> managers(kLeeches);
+  for (size_t i = 0; i < kLeeches; ++i) {
+    if (i % 2 == 0) {
+      leeches[i]->Download(seeds[i / 2 % 2]->node_id(), info,
+                           [&outcome, i](bool ok) { outcome.completed[i] = ok ? 1 : 0; });
+      continue;
+    }
+    managers[i] = std::make_unique<DownloadManager>(&network, leeches[i].get(),
+                                                    MultiSourceConfig{});
+    managers[i]->Fetch(info, [&outcome, i](const MultiSourceReport& report) {
+      outcome.manager_corrupted[i] = report.corrupted_blocks;
+      outcome.manager_sources_used[i] = report.sources_used;
+      outcome.manager_success[i] = report.success ? 1 : 0;
+    });
+  }
+  network.Run();
+  for (const auto& leech : leeches) {
+    outcome.blocks_received.push_back(leech->blocks_received());
+    outcome.blocks_corrupted.push_back(leech->blocks_corrupted());
+    outcome.downloads_failed.push_back(leech->downloads_failed());
+  }
+  outcome.messages = network.messages_sent();
+  return outcome;
+}
+
+TEST(SwarmShardingTest, CorruptionDrawsAreIndependentOfShardsAndThreads) {
+  const CorruptSwarmOutcome reference = RunCorruptSwarm(1, 1);
+  uint64_t corrupted = 0;
+  for (size_t i = 0; i < reference.blocks_corrupted.size(); ++i) {
+    corrupted += reference.blocks_corrupted[i] + reference.manager_corrupted[i];
+    // Even leeches download directly, odd ones through a manager.
+    EXPECT_NE(i % 2 == 0 ? reference.completed[i] : reference.manager_success[i], -1)
+        << "leech " << i << " never finished";
+  }
+  ASSERT_GT(corrupted, 0u) << "the seeds must actually corrupt blocks";
+  for (size_t shards : {1, 2, 4}) {
+    for (size_t threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "shards=" << shards << " threads=" << threads);
+      const CorruptSwarmOutcome outcome = RunCorruptSwarm(shards, threads);
+      EXPECT_EQ(outcome.blocks_received, reference.blocks_received);
+      EXPECT_EQ(outcome.blocks_corrupted, reference.blocks_corrupted);
+      EXPECT_EQ(outcome.downloads_failed, reference.downloads_failed);
+      EXPECT_EQ(outcome.completed, reference.completed);
+      EXPECT_EQ(outcome.manager_corrupted, reference.manager_corrupted);
+      EXPECT_EQ(outcome.manager_sources_used, reference.manager_sources_used);
+      EXPECT_EQ(outcome.manager_success, reference.manager_success);
+      EXPECT_EQ(outcome.messages, reference.messages);
+    }
   }
 }
 

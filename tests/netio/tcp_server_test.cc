@@ -68,7 +68,7 @@ TEST_F(TcpServerTest, TcpRepliesEqualSimRepliesOnSameCatalog) {
 
   // Simulated path, driven through SimServer's SimNetwork-facing surface.
   Geography geo = Geography::PaperDistribution();
-  SimNetwork network(&geo, 1);
+  SimNetwork network(&geo, SimNetConfig{.seed = 1});
   SimServer sim(&network, ServerConfig{});
   const NodeId next_id = PreloadServeCorpus(sim.core(), corpus, 1);
 

@@ -14,7 +14,7 @@ namespace {
 
 class SemanticStrategyTest : public ::testing::Test {
  protected:
-  SemanticStrategyTest() : geo_(Geography::PaperDistribution()), network_(&geo_, 91) {
+  SemanticStrategyTest() : geo_(Geography::PaperDistribution()), network_(&geo_, SimNetConfig{.seed = 91}) {
     server_ = std::make_unique<SimServer>(&network_, ServerConfig{});
     server_->set_attachment(geo_.FindCountry("DE"), AsId(3));
   }
@@ -30,7 +30,7 @@ class SemanticStrategyTest : public ::testing::Test {
         std::make_unique<SemanticClient>(&network_, config, list_size, strategy);
     client->set_attachment(geo_.FindCountry("FR"), AsId(0));
     client->Connect(server_->node_id(), nullptr);
-    network_.queue().Run();
+    network_.Run();
     return client;
   }
 
@@ -39,7 +39,7 @@ class SemanticStrategyTest : public ::testing::Test {
                                               "f" + std::to_string(file_id));
     sharer.AddLocalFile(info);
     sharer.Publish();
-    network_.queue().Run();
+    network_.Run();
     return info;
   }
 
@@ -56,10 +56,10 @@ TEST_F(SemanticStrategyTest, HistoryKeepsFrequentUploaderFirst) {
   // Three files from `frequent`, then one from `occasional`.
   for (uint32_t f = 1; f <= 3; ++f) {
     bob->FetchFile(Publish(*frequent, f), nullptr);
-    network_.queue().Run();
+    network_.Run();
   }
   bob->FetchFile(Publish(*occasional, 10), nullptr);
-  network_.queue().Run();
+  network_.Run();
 
   const auto neighbours = bob->SemanticNeighbours();
   ASSERT_GE(neighbours.size(), 2u);
@@ -70,10 +70,10 @@ TEST_F(SemanticStrategyTest, HistoryKeepsFrequentUploaderFirst) {
   auto lru_bob = MakeClient("lru_bob", StrategyKind::kLru, 4);
   for (uint32_t f = 21; f <= 23; ++f) {
     lru_bob->FetchFile(Publish(*frequent, f), nullptr);
-    network_.queue().Run();
+    network_.Run();
   }
   lru_bob->FetchFile(Publish(*occasional, 30), nullptr);
-  network_.queue().Run();
+  network_.Run();
   ASSERT_GE(lru_bob->SemanticNeighbours().size(), 2u);
   EXPECT_EQ(lru_bob->SemanticNeighbours()[0], occasional->node_id());
 }
@@ -84,14 +84,14 @@ TEST_F(SemanticStrategyTest, SemanticFetchWorksAfterServerLogout) {
   const auto f1 = Publish(*alice, 1);
   const auto f2 = Publish(*alice, 2);
   bob->FetchFile(f1, nullptr);  // Alice becomes a neighbour.
-  network_.queue().Run();
+  network_.Run();
 
   // Bob drops off the server; the semantic path needs no server at all.
   bob->Disconnect();
-  network_.queue().Run();
+  network_.Run();
   FetchOutcome outcome;
   bob->FetchFile(f2, [&](FetchOutcome o) { outcome = o; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(outcome.success);
   EXPECT_TRUE(outcome.semantic_hit);
 }
@@ -99,12 +99,12 @@ TEST_F(SemanticStrategyTest, SemanticFetchWorksAfterServerLogout) {
 TEST_F(SemanticStrategyTest, DisconnectedClientWithoutNeighboursFails) {
   auto bob = MakeClient("bob", StrategyKind::kLru);
   bob->Disconnect();
-  network_.queue().Run();
+  network_.Run();
   const auto ghost = SimClient::MakeFileInfo(FileId(99), 1000, "ghost");
   FetchOutcome outcome;
   outcome.success = true;
   bob->FetchFile(ghost, [&](FetchOutcome o) { outcome = o; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_FALSE(outcome.success);
   EXPECT_EQ(bob->fetch_failures(), 1u);
 }
@@ -115,7 +115,7 @@ TEST_F(SemanticStrategyTest, PopularityWeightedClientWorksEndToEnd) {
   const auto f1 = Publish(*alice, 1);
   FetchOutcome outcome;
   bob->FetchFile(f1, [&](FetchOutcome o) { outcome = o; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(outcome.success);
   EXPECT_EQ(bob->SemanticNeighbours().size(), 1u);
 }

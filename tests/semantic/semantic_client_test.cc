@@ -11,7 +11,7 @@ namespace {
 
 class SemanticClientTest : public ::testing::Test {
  protected:
-  SemanticClientTest() : geo_(Geography::PaperDistribution()), network_(&geo_, 11) {
+  SemanticClientTest() : geo_(Geography::PaperDistribution()), network_(&geo_, SimNetConfig{.seed = 11}) {
     server_ = std::make_unique<SimServer>(&network_, ServerConfig{});
     server_->set_attachment(geo_.FindCountry("DE"), AsId(3));
   }
@@ -25,7 +25,7 @@ class SemanticClientTest : public ::testing::Test {
     auto client = std::make_unique<SemanticClient>(&network_, config, list_size);
     client->set_attachment(geo_.FindCountry("FR"), AsId(0));
     client->Connect(server_->node_id(), nullptr);
-    network_.queue().Run();
+    network_.Run();
     return client;
   }
 
@@ -40,11 +40,11 @@ TEST_F(SemanticClientTest, FirstFetchGoesThroughServer) {
   const auto info = SimClient::MakeFileInfo(FileId(1), 500'000, "first.mp3");
   alice->AddLocalFile(info);
   alice->Publish();
-  network_.queue().Run();
+  network_.Run();
 
   FetchOutcome outcome;
   bob->FetchFile(info, [&](FetchOutcome o) { outcome = o; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(outcome.success);
   EXPECT_FALSE(outcome.semantic_hit);  // No neighbours yet.
   EXPECT_EQ(outcome.source, alice->node_id());
@@ -63,15 +63,15 @@ TEST_F(SemanticClientTest, SecondFetchIsServerless) {
   alice->AddLocalFile(f1);
   alice->AddLocalFile(f2);
   alice->Publish();
-  network_.queue().Run();
+  network_.Run();
 
   bob->FetchFile(f1, nullptr);
-  network_.queue().Run();
+  network_.Run();
   const uint64_t server_queries_before = server_->queries_served();
 
   FetchOutcome outcome;
   bob->FetchFile(f2, [&](FetchOutcome o) { outcome = o; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(outcome.success);
   EXPECT_TRUE(outcome.semantic_hit);
   EXPECT_EQ(bob->semantic_hits(), 1u);
@@ -89,13 +89,13 @@ TEST_F(SemanticClientTest, FallsBackWhenNeighbourLacksFile) {
   carol->AddLocalFile(f2);
   alice->Publish();
   carol->Publish();
-  network_.queue().Run();
+  network_.Run();
 
   bob->FetchFile(f1, nullptr);  // Alice becomes a neighbour.
-  network_.queue().Run();
+  network_.Run();
   FetchOutcome outcome;
   bob->FetchFile(f2, [&](FetchOutcome o) { outcome = o; });  // Only carol has it.
-  network_.queue().Run();
+  network_.Run();
   EXPECT_TRUE(outcome.success);
   EXPECT_FALSE(outcome.semantic_hit);
   EXPECT_EQ(outcome.source, carol->node_id());
@@ -108,7 +108,7 @@ TEST_F(SemanticClientTest, FetchFailsWhenNobodyShares) {
   FetchOutcome outcome;
   outcome.success = true;
   bob->FetchFile(ghost, [&](FetchOutcome o) { outcome = o; });
-  network_.queue().Run();
+  network_.Run();
   EXPECT_FALSE(outcome.success);
   EXPECT_EQ(bob->fetch_failures(), 1u);
 }
@@ -122,9 +122,9 @@ TEST_F(SemanticClientTest, LruEvictionKeepsListBounded) {
         SimClient::MakeFileInfo(FileId(10 + i), 100'000, "f" + std::to_string(i));
     sharer->AddLocalFile(info);
     sharer->Publish();
-    network_.queue().Run();
+    network_.Run();
     bob->FetchFile(info, nullptr);
-    network_.queue().Run();
+    network_.Run();
     sharers.push_back(std::move(sharer));
   }
   EXPECT_LE(bob->SemanticNeighbours().size(), 2u);
