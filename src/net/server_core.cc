@@ -72,7 +72,7 @@ void ServerCore::HandleLogout(NodeId client) {
     return;
   }
   Metrics().logouts->Increment();
-  RemovePublished(client);
+  RemovePublished(client, it->second);
   auto [lo, hi] = users_by_nickname_.equal_range(it->second.nickname);
   for (auto u = lo; u != hi; ++u) {
     if (u->second == client) {
@@ -83,31 +83,96 @@ void ServerCore::HandleLogout(NodeId client) {
   sessions_.erase(it);
 }
 
-void ServerCore::RemovePublished(NodeId client) {
-  auto it = sessions_.find(client);
-  if (it == sessions_.end()) {
-    return;
-  }
-  for (const Md4Digest& digest : it->second.published) {
-    auto file_it = files_.find(digest);
-    if (file_it == files_.end()) {
-      continue;
+bool ServerCore::FileEntry::HasKeyword(uint32_t keyword) const {
+  for (const KeywordRef& ref : keywords) {
+    if (ref.keyword == keyword) {
+      return true;
     }
-    file_it->second.sources.erase(client);
-    if (file_it->second.sources.empty()) {
-      for (const std::string& token : Tokenize(file_it->second.info.name)) {
-        auto kw = keyword_index_.find(token);
-        if (kw != keyword_index_.end()) {
-          kw->second.erase(digest);
-          if (kw->second.empty()) {
-            keyword_index_.erase(kw);
-          }
+  }
+  return false;
+}
+
+uint32_t ServerCore::InternKeyword(const std::string& token) {
+  auto [it, inserted] = id_by_token_.try_emplace(token);
+  if (inserted) {
+    if (free_keywords_.empty()) {
+      it->second = static_cast<uint32_t>(keywords_.size());
+      keywords_.emplace_back();
+    } else {
+      it->second = free_keywords_.back();
+      free_keywords_.pop_back();
+    }
+    // Map nodes never move, so the key outlives any rehash.
+    keywords_[it->second].token = &it->first;
+  }
+  return it->second;
+}
+
+uint32_t ServerCore::AddFile(const SharedFileInfo& info) {
+  uint32_t slot;
+  if (free_files_.empty()) {
+    slot = static_cast<uint32_t>(files_.size());
+    files_.emplace_back();
+  } else {
+    slot = free_files_.back();
+    free_files_.pop_back();
+  }
+  FileEntry& file = files_[slot];
+  file.info = info;
+  TokenizeInto(info.name, &tokens_);
+  for (const std::string& token : tokens_) {
+    const uint32_t keyword = InternKeyword(token);
+    if (file.HasKeyword(keyword)) {
+      continue;  // A repeated token is posted once.
+    }
+    std::vector<uint32_t>& posting = keywords_[keyword].posting;
+    file.keywords.push_back(
+        KeywordRef{keyword, static_cast<uint32_t>(posting.size())});
+    posting.push_back(slot);
+  }
+  return slot;
+}
+
+void ServerCore::ReleaseFile(uint32_t slot) {
+  FileEntry& file = files_[slot];
+  for (const KeywordRef& ref : file.keywords) {
+    Keyword& keyword = keywords_[ref.keyword];
+    // Swap-remove, then point the moved file at its new position.
+    const uint32_t moved = keyword.posting.back();
+    keyword.posting[ref.pos] = moved;
+    keyword.posting.pop_back();
+    if (moved != slot) {
+      for (KeywordRef& other : files_[moved].keywords) {
+        if (other.keyword == ref.keyword) {
+          other.pos = ref.pos;
+          break;
         }
       }
-      files_.erase(file_it);
+    }
+    if (keyword.posting.empty()) {
+      id_by_token_.erase(id_by_token_.find(*keyword.token));
+      keyword = Keyword{};
+      free_keywords_.push_back(ref.keyword);
     }
   }
-  it->second.published.clear();
+  file.keywords.clear();
+  slot_by_digest_.erase(file.info.digest);
+  // The next file in this slot needs a freshly constructed source set:
+  // clear() keeps the bucket array, and query-sources replies follow the
+  // set's iteration order.
+  std::unordered_set<NodeId>().swap(file.sources);
+  free_files_.push_back(slot);
+}
+
+void ServerCore::RemovePublished(NodeId client, Session& session) {
+  for (uint32_t slot : session.published) {
+    FileEntry& file = files_[slot];
+    // A digest the list named twice finds the client already gone.
+    if (file.sources.erase(client) != 0 && file.sources.empty()) {
+      ReleaseFile(slot);
+    }
+  }
+  session.published.clear();
 }
 
 void ServerCore::HandlePublish(NodeId client,
@@ -116,23 +181,21 @@ void ServerCore::HandlePublish(NodeId client,
   if (it == sessions_.end()) {
     return;  // Publishing without a session is dropped, as in the protocol.
   }
-  RemovePublished(client);
-  it->second.published.reserve(files.size());
+  Session& session = it->second;
+  RemovePublished(client, session);
+  session.published.reserve(files.size());
   for (const SharedFileInfo& info : files) {
-    it->second.published.push_back(info.digest);
-    auto [file_it, inserted] = files_.try_emplace(info.digest);
+    auto [slot_it, inserted] = slot_by_digest_.try_emplace(info.digest);
     if (inserted) {
-      file_it->second.info = info;
-      for (const std::string& token : Tokenize(info.name)) {
-        keyword_index_[token].insert(info.digest);
-      }
+      slot_it->second = AddFile(info);  // The first name published wins.
     }
-    file_it->second.sources.insert(client);
+    session.published.push_back(slot_it->second);
+    files_[slot_it->second].sources.insert(client);
   }
   ServerMetrics& metrics = Metrics();
   metrics.publishes->Increment();
   metrics.published_files->Increment(files.size());
-  metrics.max_indexed_files->UpdateMax(static_cast<int64_t>(files_.size()));
+  metrics.max_indexed_files->UpdateMax(static_cast<int64_t>(slot_by_digest_.size()));
 }
 
 std::vector<UserRecord> ServerCore::HandleQueryUsers(
@@ -163,12 +226,13 @@ std::vector<SourceRecord> ServerCore::HandleQuerySources(
   ++queries_served_;
   Metrics().query_sources->Increment();
   std::vector<SourceRecord> out;
-  const auto it = files_.find(digest);
-  if (it == files_.end()) {
+  const auto it = slot_by_digest_.find(digest);
+  if (it == slot_by_digest_.end()) {
     return out;
   }
-  out.reserve(std::min(config_.max_source_results, it->second.sources.size()));
-  for (NodeId source : it->second.sources) {
+  const std::unordered_set<NodeId>& sources = files_[it->second].sources;
+  out.reserve(std::min(config_.max_source_results, sources.size()));
+  for (NodeId source : sources) {
     if (out.size() >= config_.max_source_results) {
       break;
     }
@@ -188,34 +252,34 @@ std::vector<SharedFileInfo> ServerCore::HandleSearch(
   if (keywords.empty()) {
     return out;
   }
-  // Start from the rarest keyword's posting set, then filter conjunctively.
-  const std::unordered_set<Md4Digest>* smallest = nullptr;
+  // Map the query to ids once, start from the rarest keyword's posting
+  // and test each candidate by id.
+  std::vector<uint32_t> ids;
+  ids.reserve(keywords.size());
+  const std::vector<uint32_t>* smallest = nullptr;
   for (const std::string& keyword : keywords) {
-    const auto it = keyword_index_.find(keyword);
-    if (it == keyword_index_.end()) {
+    const auto it = id_by_token_.find(keyword);
+    if (it == id_by_token_.end()) {
       return out;  // One keyword has no match: conjunction is empty.
     }
-    if (smallest == nullptr || it->second.size() < smallest->size()) {
-      smallest = &it->second;
+    const std::vector<uint32_t>& posting = keywords_[it->second].posting;
+    if (smallest == nullptr || posting.size() < smallest->size()) {
+      smallest = &posting;
     }
+    ids.push_back(it->second);
   }
   out.reserve(std::min(config_.max_search_results, smallest->size()));
-  std::vector<std::string> tokens;
-  for (const Md4Digest& digest : *smallest) {
-    const auto file_it = files_.find(digest);
-    if (file_it == files_.end()) {
-      continue;
-    }
-    TokenizeInto(file_it->second.info.name, &tokens);
+  for (uint32_t slot : *smallest) {
+    const FileEntry& file = files_[slot];
     bool all = true;
-    for (const std::string& keyword : keywords) {
-      if (std::find(tokens.begin(), tokens.end(), keyword) == tokens.end()) {
+    for (uint32_t id : ids) {
+      if (!file.HasKeyword(id)) {
         all = false;
         break;
       }
     }
     if (all) {
-      out.push_back(file_it->second.info);
+      out.push_back(file.info);
       if (out.size() >= config_.max_search_results) {
         break;
       }
@@ -234,11 +298,8 @@ std::optional<std::vector<SharedFileInfo>> ServerCore::HandleBrowse(
   }
   std::vector<SharedFileInfo> out;
   out.reserve(it->second.published.size());
-  for (const Md4Digest& digest : it->second.published) {
-    const auto file_it = files_.find(digest);
-    if (file_it != files_.end()) {
-      out.push_back(file_it->second.info);
-    }
+  for (uint32_t slot : it->second.published) {
+    out.push_back(files_[slot].info);
   }
   return out;
 }

@@ -9,9 +9,7 @@
 // Two front-ends drive the identical logic:
 //
 //   * SimServer (src/net/server.h) delivers simulated messages through
-//     SimNetwork — the original behaviour, byte-identical to the
-//     pre-extraction code because the core keeps the same containers and
-//     the same insertion/iteration sequences.
+//     SimNetwork.
 //   * TcpServer (src/netio/tcp_server.h) decodes framed requests from real
 //     sockets and calls the same handlers, so queries/sec and tail latency
 //     measured over TCP exercise exactly the index the simulations use.
@@ -19,6 +17,21 @@
 // The core itself is single-threaded: callers that dispatch from multiple
 // I/O threads must serialise calls (TcpServer holds one mutex around the
 // core; the simulator is single-threaded per shard by construction).
+//
+// Index layout: every indexed file lives in a dense slot and every keyword
+// token has an interned id, both recycled through free lists. A file is
+// tokenised once, when it enters the index; its entry keeps its distinct
+// keyword ids, each with the file's position in that keyword's posting
+// vector, so removing a file is an O(1) swap-remove per keyword and a
+// search tests candidates by id instead of re-tokenising their names.
+// An entry leaves the index with its last source, so memory is bounded by
+// the live index.
+//
+// Reply order is a deterministic function of the operation history:
+// browse follows publish order, query-users nickname order, query-sources
+// the iteration of the file's source set (constructed fresh whenever the
+// file enters the index), and search the posting order of the query's
+// rarest keyword.
 //
 // Allocation discipline: every reply is reserved up front to
 // min(result cap, candidate count) and never grows past its cap, so a
@@ -28,6 +41,7 @@
 #ifndef SRC_NET_SERVER_CORE_H_
 #define SRC_NET_SERVER_CORE_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -76,7 +90,12 @@ class ServerCore {
 
   bool IsConnected(NodeId client) const { return sessions_.contains(client); }
   size_t connected_users() const { return sessions_.size(); }
-  size_t indexed_files() const { return files_.size(); }
+  size_t indexed_files() const { return slot_by_digest_.size(); }
+  size_t indexed_keywords() const { return id_by_token_.size(); }
+  // Table sizes, free slots included: the high-water marks of the live
+  // index, which recycling keeps from growing under churn.
+  size_t file_slots() const { return files_.size(); }
+  size_t keyword_slots() const { return keywords_.size(); }
   uint64_t queries_served() const { return queries_served_; }
 
   // Splits a file name into lowercase keyword tokens.
@@ -89,20 +108,42 @@ class ServerCore {
   struct Session {
     std::string nickname;
     bool low_id = false;
-    std::vector<Md4Digest> published;
+    std::vector<uint32_t> published;  // File slots, in publish order.
+  };
+  // One distinct keyword of a file name: its interned id and the file's
+  // position in that keyword's posting vector.
+  struct KeywordRef {
+    uint32_t keyword;
+    uint32_t pos;
   };
   struct FileEntry {
     SharedFileInfo info;
     std::unordered_set<NodeId> sources;
+    std::vector<KeywordRef> keywords;
+
+    bool HasKeyword(uint32_t keyword) const;
+  };
+  struct Keyword {
+    std::vector<uint32_t> posting;       // Slots of files naming the token.
+    const std::string* token = nullptr;  // The key in id_by_token_.
   };
 
-  void RemovePublished(NodeId client);
+  // Takes a free slot for a file new to the index and indexes its name.
+  uint32_t AddFile(const SharedFileInfo& info);
+  // Drops a file whose last source left and recycles its slot.
+  void ReleaseFile(uint32_t slot);
+  uint32_t InternKeyword(const std::string& token);
+  void RemovePublished(NodeId client, Session& session);
 
   ServerConfig config_;
   std::unordered_map<NodeId, Session> sessions_;
-  std::unordered_map<Md4Digest, FileEntry> files_;
-  // Keyword -> digests of files whose name contains the keyword.
-  std::unordered_map<std::string, std::unordered_set<Md4Digest>> keyword_index_;
+  std::unordered_map<Md4Digest, uint32_t> slot_by_digest_;
+  std::vector<FileEntry> files_;
+  std::vector<uint32_t> free_files_;
+  std::unordered_map<std::string, uint32_t> id_by_token_;
+  std::vector<Keyword> keywords_;
+  std::vector<uint32_t> free_keywords_;
+  std::vector<std::string> tokens_;  // AddFile's tokenizer scratch.
   // Nicknames sorted for prefix scans.
   std::multimap<std::string, NodeId> users_by_nickname_;
   mutable uint64_t queries_served_ = 0;

@@ -173,14 +173,67 @@ void ShardedEngine::SortOutboxRuns() {
       config_.threads);
 }
 
-size_t ShardedEngine::MergeMailboxes() {
+void ShardedEngine::MergeInto(size_t dst) {
+  obs::WallSpan flush_span(tracing_ ? TraceNames().mailbox_flush : 0);
+  Shard& to = shards_[dst];
+  // Gather this destination's non-empty runs.
+  std::vector<std::vector<Message>*>& runs = to.merge_runs;
+  runs.clear();
+  size_t total = 0;
+  for (Shard& from : shards_) {
+    auto& box = from.outbox[dst];
+    if (!box.empty()) {
+      total += box.size();
+      runs.push_back(&box);
+    }
+  }
+  to.merged = total;
+  if (total == 0) {
+    flush_span.Cancel();
+    return;
+  }
+  flush_span.AddArg(dst);
+  flush_span.AddArg(total);
+  if (runs.size() == 1) {
+    for (Message& message : *runs.front()) {
+      to.queue.ScheduleAt(message.time, std::move(message.fn));
+    }
+  } else {
+    // Min-heap over the run heads; pop-advance-reheap is O(M log K) with
+    // K = live runs.
+    std::vector<size_t>& pos = to.merge_pos;
+    std::vector<size_t>& heap = to.merge_heap;
+    pos.assign(runs.size(), 0);
+    heap.resize(runs.size());
+    for (size_t r = 0; r < runs.size(); ++r) {
+      heap[r] = r;
+    }
+    const auto later = [&runs, &pos](size_t a, size_t b) {
+      return MessageBefore((*runs[b])[pos[b]], (*runs[a])[pos[a]]);
+    };
+    std::make_heap(heap.begin(), heap.end(), later);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const size_t r = heap.back();
+      Message& message = (*runs[r])[pos[r]];
+      to.queue.ScheduleAt(message.time, std::move(message.fn));
+      if (++pos[r] < runs[r]->size()) {
+        std::push_heap(heap.begin(), heap.end(), later);
+      } else {
+        heap.pop_back();
+      }
+    }
+  }
+  for (auto* box : runs) {
+    box->clear();
+  }
+}
+
+size_t ShardedEngine::MergeMailboxes(const std::function<void(size_t)>& merge) {
   if (!AnyOutboxPending()) {
     return 0;
   }
-  const size_t shard_count = shards_.size();
-  const bool tracing = obs::TraceLog::Enabled();
-  obs::WallSpan merge_span(tracing ? TraceNames().barrier_merge : 0);
-  std::vector<size_t> merged_per_dst(shard_count, 0);
+  obs::WallSpan merge_span(tracing_ ? TraceNames().barrier_merge : 0);
   // Each destination drains its own column of the mailbox matrix: the
   // destination worker reads what source workers wrote (and pre-sorted)
   // last window, with the ParallelFor fork/join barrier ordering the two
@@ -189,65 +242,10 @@ size_t ShardedEngine::MergeMailboxes() {
   // preserves it for same-time arrivals: the destination observes its
   // messages in a partition-independent order at k-way-merge cost
   // (O(M log K) versus the old concat-then-sort O(M log M)).
-  ParallelFor(
-      0, shard_count,
-      [this, shard_count, tracing, &merged_per_dst](size_t dst) {
-        obs::WallSpan flush_span(tracing ? TraceNames().mailbox_flush : 0);
-        Shard& to = shards_[dst];
-        // Gather this destination's non-empty runs.
-        std::vector<std::vector<Message>*> runs;
-        runs.reserve(shard_count);
-        size_t total = 0;
-        for (size_t src = 0; src < shard_count; ++src) {
-          auto& box = shards_[src].outbox[dst];
-          if (!box.empty()) {
-            total += box.size();
-            runs.push_back(&box);
-          }
-        }
-        merged_per_dst[dst] = total;
-        if (total == 0) {
-          flush_span.Cancel();
-          return;
-        }
-        flush_span.AddArg(dst);
-        flush_span.AddArg(total);
-        if (runs.size() == 1) {
-          for (Message& message : *runs.front()) {
-            to.queue.ScheduleAt(message.time, std::move(message.fn));
-          }
-        } else {
-          // Min-heap over the run heads; pop-advance-reheap is
-          // O(M log K) with K = live runs.
-          std::vector<size_t> pos(runs.size(), 0);
-          std::vector<size_t> heap(runs.size());
-          for (size_t r = 0; r < runs.size(); ++r) {
-            heap[r] = r;
-          }
-          const auto later = [&runs, &pos](size_t a, size_t b) {
-            return MessageBefore((*runs[b])[pos[b]], (*runs[a])[pos[a]]);
-          };
-          std::make_heap(heap.begin(), heap.end(), later);
-          while (!heap.empty()) {
-            std::pop_heap(heap.begin(), heap.end(), later);
-            const size_t r = heap.back();
-            Message& message = (*runs[r])[pos[r]];
-            to.queue.ScheduleAt(message.time, std::move(message.fn));
-            if (++pos[r] < runs[r]->size()) {
-              std::push_heap(heap.begin(), heap.end(), later);
-            } else {
-              heap.pop_back();
-            }
-          }
-        }
-        for (auto* box : runs) {
-          box->clear();
-        }
-      },
-      config_.threads);
+  ParallelFor(0, shards_.size(), merge, config_.threads);
   size_t merged = 0;
-  for (size_t count : merged_per_dst) {
-    merged += count;
+  for (const Shard& shard : shards_) {
+    merged += shard.merged;
   }
   if (merged == 0) {
     merge_span.Cancel();
@@ -269,6 +267,30 @@ double ShardedEngine::NextEventTime() {
   return next;
 }
 
+void ShardedEngine::DrainShard(size_t k) {
+  obs::WallSpan drain_span(tracing_ ? TraceNames().shard_drain : 0);
+  const auto start = std::chrono::steady_clock::now();
+  Shard& shard = shards_[k];
+  tls_current_shard = k;
+  shard.min_send_delay = kInf;
+  const uint64_t executed = shard.queue.RunUntil(window_end_);
+  shard.executed += executed;
+  // Pre-sort this shard's outgoing runs while the pool is hot: the
+  // destination's barrier merge then only pays O(M log K).
+  for (auto& box : shard.outbox) {
+    std::sort(box.begin(), box.end(), MessageBefore);
+  }
+  tls_current_shard = kNoShard;
+  shard.busy_seconds = Seconds(std::chrono::steady_clock::now() - start);
+  shard.window_executed = executed;
+  if (executed == 0) {
+    drain_span.Cancel();
+  } else {
+    drain_span.AddArg(k);
+    drain_span.AddArg(executed);
+  }
+}
+
 uint64_t ShardedEngine::RunUntil(double until) {
   const size_t shard_count = shards_.size();
   const uint64_t events_before = events_executed();
@@ -281,10 +303,12 @@ uint64_t ShardedEngine::RunUntil(double until) {
   const auto loop_start = std::chrono::steady_clock::now();
   double stall_seconds = 0;
   std::vector<double> shard_stall(shard_count, 0.0);
-  std::vector<double> window_busy(shard_count);
 
-  const bool tracing = obs::TraceLog::Enabled();
-  std::vector<uint64_t> window_executed(shard_count);
+  tracing_ = obs::TraceLog::Enabled();
+  // The window and barrier tasks, built once per run: they capture only
+  // `this` and read the window from members, so no window allocates.
+  const std::function<void(size_t)> drain = [this](size_t k) { DrainShard(k); };
+  const std::function<void(size_t)> merge = [this](size_t dst) { MergeInto(dst); };
 
   // Setup-time sends were buffered outside any window; sort them into
   // runs so the first barrier's k-way merge sees sorted input (windowed
@@ -298,9 +322,9 @@ uint64_t ShardedEngine::RunUntil(double until) {
   for (;;) {
     // Loop-top merge hands setup-time sends and last window's mailboxes to
     // their destination queues before the next window is chosen.
-    const size_t merged = MergeMailboxes();
+    const size_t merged = MergeMailboxes(merge);
     const double window_start = NextEventTime();
-    if (tracing && merged > 0) {
+    if (tracing_ && merged > 0) {
       // Every send is buffered until the barrier, so the merged total (and
       // the barrier's position on the window timeline) is deterministic —
       // only the per-destination split depends on the partitioning.
@@ -315,36 +339,12 @@ uint64_t ShardedEngine::RunUntil(double until) {
     }
     const double window_end = std::min(window_start + window_width_, until);
     window_end_ = window_end;
-    obs::WallSpan window_span(tracing ? TraceNames().window_wall : 0);
-    ParallelFor(
-        0, shard_count,
-        [this, window_end, tracing, &window_busy, &window_executed](size_t k) {
-          obs::WallSpan drain_span(tracing ? TraceNames().shard_drain : 0);
-          const auto start = std::chrono::steady_clock::now();
-          tls_current_shard = k;
-          shards_[k].min_send_delay = kInf;
-          const uint64_t executed = shards_[k].queue.RunUntil(window_end);
-          shards_[k].executed += executed;
-          // Pre-sort this shard's outgoing runs while the pool is hot:
-          // the destination's barrier merge then only pays O(M log K).
-          for (auto& box : shards_[k].outbox) {
-            std::sort(box.begin(), box.end(), MessageBefore);
-          }
-          tls_current_shard = kNoShard;
-          window_busy[k] = Seconds(std::chrono::steady_clock::now() - start);
-          window_executed[k] = executed;
-          if (executed == 0) {
-            drain_span.Cancel();
-          } else {
-            drain_span.AddArg(k);
-            drain_span.AddArg(executed);
-          }
-        },
-        config_.threads);
-    if (tracing) {
+    obs::WallSpan window_span(tracing_ ? TraceNames().window_wall : 0);
+    ParallelFor(0, shard_count, drain, config_.threads);
+    if (tracing_) {
       uint64_t events_in_window = 0;
-      for (uint64_t executed : window_executed) {
-        events_in_window += executed;
+      for (const Shard& shard : shards_) {
+        events_in_window += shard.window_executed;
       }
       window_span.AddArg(windows_);
       window_span.AddArg(events_in_window);
@@ -370,9 +370,12 @@ uint64_t ShardedEngine::RunUntil(double until) {
             std::clamp(observed, config_.lookahead, config_.max_window);
       }
     }
-    const double max_busy = *std::max_element(window_busy.begin(), window_busy.end());
+    double max_busy = 0;
+    for (const Shard& shard : shards_) {
+      max_busy = std::max(max_busy, shard.busy_seconds);
+    }
     for (size_t k = 0; k < shard_count; ++k) {
-      const double stall = max_busy - window_busy[k];
+      const double stall = max_busy - shards_[k].busy_seconds;
       shard_stall[k] += stall;
       stall_seconds += stall;
     }

@@ -55,6 +55,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -182,7 +183,16 @@ class ShardedEngine {
     // Minimum delay requested by this shard's sends in the current
     // window (adaptive-width signal; +inf when it sent nothing).
     double min_send_delay = 0;
-    double stall_seconds = 0;
+    // Window and barrier scratch, reused across windows: this shard's
+    // drain time and event count in the current window, the messages
+    // merged into it at the last barrier, and the k-way merge's run,
+    // cursor and heap vectors (touched only by the destination's worker).
+    double busy_seconds = 0;
+    uint64_t window_executed = 0;
+    size_t merged = 0;
+    std::vector<std::vector<Message>*> merge_runs;
+    std::vector<size_t> merge_pos;
+    std::vector<size_t> merge_heap;
   };
 
   static bool MessageBefore(const Message& a, const Message& b);
@@ -191,12 +201,18 @@ class ShardedEngine {
   // setup-time sends: runs produced inside a window are sorted by the
   // owning worker before the barrier.
   void SortOutboxRuns();
-  // K-way merges every destination's column of pre-sorted runs into its
-  // queue, in (time, src, seq) order. Runs at window barriers and before
-  // the first window (setup-time sends). Returns the number of messages
-  // merged — partition-independent, because EVERY send (intra- and
-  // cross-shard) is buffered until the next barrier.
-  size_t MergeMailboxes();
+  // Runs shard k's events up to window_end_ and pre-sorts its outgoing
+  // runs (one window task).
+  void DrainShard(size_t k);
+  // K-way merges destination dst's column of pre-sorted runs into its
+  // queue, in (time, src, seq) order (one barrier task).
+  void MergeInto(size_t dst);
+  // Runs `merge` (MergeInto, built once per run) over every destination.
+  // Runs at window barriers and before the first window (setup-time
+  // sends). Returns the number of messages merged — partition-independent,
+  // because EVERY send (intra- and cross-shard) is buffered until the next
+  // barrier.
+  size_t MergeMailboxes(const std::function<void(size_t)>& merge);
   bool AnyOutboxPending() const;
   double NextEventTime();
 
@@ -214,6 +230,9 @@ class ShardedEngine {
   // arrivals that would land inside the window (written only between
   // barriers).
   double window_end_ = 0;
+  // Whether the current run emits trace spans (read by the window and
+  // barrier tasks).
+  bool tracing_ = false;
   // Cursors for the metrics flush at the end of each RunUntil: counters
   // receive deltas, so several engines can coexist in one registry.
   uint64_t messages_reported_ = 0;

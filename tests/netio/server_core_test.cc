@@ -1,7 +1,8 @@
 // ServerCore coverage that the SimServer delegation tests do not reach:
-// the browse handler (new with the transport seam) and the allocation
-// discipline of the result-capped queries against adversarially large
-// candidate sets.
+// the browse handler (new with the transport seam), the id-based index's
+// edge cases (repeated tokens, duplicate query keywords, slot recycling)
+// and the allocation discipline of the result-capped queries against
+// adversarially large candidate sets.
 
 #include "src/net/server_core.h"
 
@@ -63,6 +64,101 @@ TEST(ServerCoreBrowse, RepublishReplacesBrowseReply) {
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->size(), 1u);
   EXPECT_EQ((*reply)[0].name, "new.mp3");
+}
+
+// --- Id-based index edge cases ------------------------------------------------
+
+TEST(ServerCoreIndex, RepeatedTokenInNameMatchesOnce) {
+  ServerCore core{ServerConfig{}};
+  ASSERT_TRUE(core.HandleLogin(1, "alice", false));
+  core.HandlePublish(1, {File(1, "live live.mp3"), File(2, "studio.mp3")});
+  const auto results = core.HandleSearch({"live"});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].name, "live live.mp3");
+}
+
+TEST(ServerCoreIndex, DuplicateQueryKeywordsActAsOne) {
+  ServerCore core{ServerConfig{}};
+  ASSERT_TRUE(core.HandleLogin(1, "alice", false));
+  core.HandlePublish(1, {File(1, "live rock.mp3"), File(2, "live dub.mp3"),
+                         File(3, "rock.ogg")});
+  const auto once = core.HandleSearch({"live"});
+  const auto twice = core.HandleSearch({"live", "live"});
+  ASSERT_EQ(once.size(), 2u);
+  ASSERT_EQ(twice.size(), once.size());
+  for (size_t i = 0; i < once.size(); ++i) {
+    EXPECT_EQ(twice[i].digest, once[i].digest) << "index " << i;
+  }
+  EXPECT_EQ(core.HandleSearch({"rock", "live", "rock"}).size(), 1u);
+}
+
+TEST(ServerCoreIndex, EmptyOnceEveryClientLogsOut) {
+  ServerCore core{ServerConfig{}};
+  for (NodeId c = 1; c <= 3; ++c) {
+    ASSERT_TRUE(core.HandleLogin(c, "peer", false));
+    core.HandlePublish(c, {File(1, "shared hit.mp3"), File(10 + c, "own file.avi")});
+  }
+  EXPECT_EQ(core.indexed_files(), 4u);
+  for (NodeId c = 1; c <= 3; ++c) {
+    core.HandleLogout(c);
+  }
+  EXPECT_EQ(core.indexed_files(), 0u);
+  EXPECT_EQ(core.indexed_keywords(), 0u);
+  EXPECT_TRUE(core.HandleSearch({"file"}).empty());
+  EXPECT_TRUE(core.HandleQuerySources(File(1, "shared hit.mp3").digest).empty());
+}
+
+TEST(ServerCoreIndex, PublishLogoutCyclesReuseSlots) {
+  ServerCore core{ServerConfig{}};
+  std::vector<SharedFileInfo> corpus;
+  for (uint32_t i = 0; i < 50; ++i) {
+    corpus.push_back(File(i + 1, "track" + std::to_string(i) + " live mix.mp3"));
+  }
+  ASSERT_TRUE(core.HandleLogin(1, "alice", false));
+  core.HandlePublish(1, corpus);
+  core.HandleLogout(1);
+  const size_t file_slots = core.file_slots();
+  const size_t keyword_slots = core.keyword_slots();
+  EXPECT_EQ(file_slots, corpus.size());
+  EXPECT_EQ(keyword_slots, corpus.size() + 3);  // trackN, live, mix, mp3.
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    ASSERT_TRUE(core.HandleLogin(1, "alice", false));
+    core.HandlePublish(1, corpus);
+    ASSERT_EQ(core.HandleSearch({"live", "mix"}).size(), 50u);
+    core.HandleLogout(1);
+  }
+  EXPECT_EQ(core.file_slots(), file_slots);
+  EXPECT_EQ(core.keyword_slots(), keyword_slots);
+  EXPECT_EQ(core.indexed_files(), 0u);
+}
+
+TEST(ServerCoreIndex, RecycledSlotQuerySourcesMatchesFreshIndex) {
+  // A file that re-enters the index in a recycled slot must list its
+  // sources exactly as a never-used index does: 40 sources grow the source
+  // set's bucket array, which a reused set would keep.
+  const auto big = File(1, "big.avi");
+  const auto other = File(2, "other.avi");
+  ServerCore fresh{ServerConfig{}};
+  ServerCore recycled{ServerConfig{}};
+  for (NodeId c = 1; c <= 40; ++c) {
+    ASSERT_TRUE(recycled.HandleLogin(c, "peer", false));
+    recycled.HandlePublish(c, {big});
+  }
+  for (NodeId c = 1; c <= 40; ++c) {
+    recycled.HandleLogout(c);
+  }
+  for (ServerCore* core : {&fresh, &recycled}) {
+    for (NodeId c = 100; c < 160; c += 3) {
+      ASSERT_TRUE(core->HandleLogin(c, "peer", false));
+      core->HandlePublish(c, {other});
+    }
+  }
+  const auto want = fresh.HandleQuerySources(other.digest);
+  const auto got = recycled.HandleQuerySources(other.digest);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node) << "index " << i;
+  }
 }
 
 // --- Allocation discipline under adversarial corpora -------------------------
