@@ -5,12 +5,16 @@
 // quality matches the history-based neighbour lists of §5 — without any
 // download history: view overlap and view hit rate per gossip round,
 // against the LRU trace-simulation reference.
+//
+// The gossip runs as discrete events on the sharded conservative engine
+// (--shards=K, --threads=N, --rounds=R, default 32 rounds). Everything on
+// stdout is bit-identical for every shards/threads combination; the
+// wall-clock rate goes to stderr.
 
 #include <iostream>
 
 #include "bench/bench_common.h"
 #include "src/common/table.h"
-#include "src/semantic/gossip_overlay.h"
 #include "src/semantic/search_sim.h"
 #include "src/semantic/sharded_gossip.h"
 
@@ -24,33 +28,39 @@ int main(int argc, char** argv) {
   const edk::Trace filtered = edk::LoadOrGenerateFiltered(options);
   const edk::StaticCaches caches = edk::BuildUnionCaches(filtered);
 
-  edk::GossipConfig gossip;
-  gossip.view_size = 10;
+  edk::ShardedGossipConfig gossip;
   gossip.seed = options.workload.seed;
-  edk::GossipOverlay overlay(caches, gossip);
-  edk::Rng rng(options.workload.seed ^ 0x90551f);
+  gossip.shards = options.shards;
+  gossip.threads = options.threads;
+  gossip.rounds = options.rounds > 0 ? options.rounds : 32;
+  std::vector<std::vector<uint32_t>> views;
+  const edk::ShardedGossipStats stats = edk::RunShardedGossip(
+      caches, edk::Geography::PaperDistribution(), gossip, &views);
 
+  std::cout << "gossip over " << stats.sim_seconds << " simulated seconds:\n";
   edk::AsciiTable table({"gossip rounds", "mean view overlap", "view hit rate"});
-  size_t next_report = 0;
-  constexpr size_t kSamples = 20'000;
-  for (size_t round = 0; round <= 32; ++round) {
-    if (round == next_report) {
-      table.AddRow({std::to_string(round),
-                    edk::AsciiTable::FormatCell(overlay.MeanViewOverlap()),
-                    edk::FormatPercent(overlay.ViewHitRate(kSamples, rng))});
-      next_report = next_report == 0 ? 1 : next_report * 2;
+  for (const edk::GossipRoundPoint& point : stats.trajectory) {
+    const bool power_of_two = (point.round & (point.round - 1)) == 0;
+    if (power_of_two || point.round == gossip.rounds) {
+      table.AddRow({std::to_string(point.round),
+                    edk::AsciiTable::FormatCell(point.mean_view_overlap),
+                    edk::FormatPercent(point.view_hit_rate)});
     }
-    overlay.RunRound();
   }
   table.Print(std::cout);
+  std::cout << "participants=" << stats.participants
+            << " exchanges=" << stats.exchanges
+            << " messages=" << stats.messages_sent
+            << " events=" << stats.events_executed
+            << " windows=" << stats.windows << "\n";
+  std::cerr << "[sharded] shards=" << gossip.shards << " "
+            << stats.events_executed << " events in " << stats.wall_seconds
+            << " s (" << static_cast<uint64_t>(stats.EventsPerSecond())
+            << " events/s)\n";
 
   // Full request replay (§5.1) with the converged gossip views as FIXED
   // neighbour lists, against the LRU reference that must learn its lists
   // from download history during the replay.
-  std::vector<std::vector<uint32_t>> views(caches.caches.size());
-  for (uint32_t p = 0; p < caches.caches.size(); ++p) {
-    views[p] = overlay.SemanticView(p);
-  }
   edk::SearchSimConfig fixed;
   fixed.list_size = gossip.view_size;
   fixed.seed = options.workload.seed;
@@ -72,39 +82,5 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << "(gossip removes the cold start: its lists exist before the "
                "first download)\n";
-
-  // Event-driven replay of the same protocol on the sharded conservative
-  // engine (--shards=K, --threads=N): exchanges happen over simulated
-  // network latency instead of lock-step rounds. Everything printed here
-  // is bit-identical for every shards/threads combination; the wall-clock
-  // rate goes to stderr.
-  edk::ShardedGossipConfig sharded;
-  sharded.seed = options.workload.seed;
-  sharded.shards = options.shards;
-  sharded.threads = options.threads;
-  if (options.rounds > 0) {
-    sharded.rounds = options.rounds;
-  }
-  const edk::ShardedGossipStats stats = edk::RunShardedGossip(
-      caches, edk::Geography::PaperDistribution(), sharded);
-  std::cout << "\nevent-driven gossip on the sharded engine ("
-            << sharded.rounds << " rounds over " << stats.sim_seconds
-            << " simulated seconds):\n";
-  edk::AsciiTable sharded_table({"round", "mean view overlap", "view hit rate"});
-  for (const edk::GossipRoundPoint& point : stats.trajectory) {
-    sharded_table.AddRow({std::to_string(point.round),
-                          edk::AsciiTable::FormatCell(point.mean_view_overlap),
-                          edk::FormatPercent(point.view_hit_rate)});
-  }
-  sharded_table.Print(std::cout);
-  std::cout << "participants=" << stats.participants
-            << " exchanges=" << stats.exchanges
-            << " messages=" << stats.messages_sent
-            << " events=" << stats.events_executed
-            << " windows=" << stats.windows << "\n";
-  std::cerr << "[sharded] shards=" << sharded.shards << " "
-            << stats.events_executed << " events in " << stats.wall_seconds
-            << " s (" << static_cast<uint64_t>(stats.EventsPerSecond())
-            << " events/s)\n";
   return 0;
 }

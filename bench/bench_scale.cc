@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,8 +56,13 @@ int main(int argc, char** argv) {
   const size_t explore_every =
       options.explore_every > 0 ? options.explore_every : 3;
 
-  const edk::StaticCaches caches =
-      edk::MakeClusteredCaches(peers, files, topics, options.workload.seed);
+  edk::StaticCaches caches;
+  try {
+    caches = edk::MakeClusteredCaches(peers, files, topics, options.workload.seed);
+  } catch (const std::invalid_argument& error) {  // --files=0
+    std::cerr << error.what() << "\n";
+    return 2;
+  }
   const edk::Geography geography = edk::Geography::PaperDistribution();
 
   std::vector<edk::sim::PlacementPolicy> policies;

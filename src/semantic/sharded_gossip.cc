@@ -1,7 +1,6 @@
 #include "src/semantic/sharded_gossip.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <iomanip>
 #include <span>
@@ -101,6 +100,27 @@ class Scenario {
                               ? ViewHitRate()
                               : stats.trajectory.back().view_hit_rate;
     return stats;
+  }
+
+  // Moves the views out, translated from participant indices back to raw
+  // peer ids (the inverse of CompactCaches). Call after Run().
+  void TakeViews(const StaticCaches& caches,
+                 std::vector<std::vector<uint32_t>>* views) {
+    std::vector<uint32_t> peer_of;  // Participant index -> peer id.
+    peer_of.reserve(nodes_.size());
+    for (uint32_t p = 0; p < caches.caches.size(); ++p) {
+      if (!caches.caches[p].empty()) {
+        peer_of.push_back(p);
+      }
+    }
+    views->assign(caches.caches.size(), {});
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      std::vector<uint32_t>& view = nodes_[i].view;
+      for (uint32_t& member : view) {
+        member = peer_of[member];
+      }
+      (*views)[peer_of[i]] = std::move(view);
+    }
   }
 
  private:
@@ -293,7 +313,7 @@ class Scenario {
            static_cast<double>(config_.hit_samples);
   }
 
-  // Only peers with content participate (matches GossipOverlay).
+  // Only peers with content participate.
   static std::vector<std::span<const FileId>> CompactCaches(
       const StaticCaches& caches) {
     std::vector<std::span<const FileId>> out;
@@ -365,9 +385,10 @@ std::string ShardedGossipStats::DeterministicSummary() const {
   return os.str();
 }
 
-ShardedGossipStats RunShardedGossip(const StaticCaches& caches,
-                                    const Geography& geography,
-                                    const ShardedGossipConfig& config) {
+ShardedGossipStats RunShardedGossip(
+    const StaticCaches& caches, const Geography& geography,
+    const ShardedGossipConfig& config,
+    std::vector<std::vector<uint32_t>>* views) {
   // An exchange needs two one-way delays inside one period; shorter
   // periods would stack the next initiation onto a still-in-flight
   // exchange and silently skew every derived metric, so reject them
@@ -380,7 +401,11 @@ ShardedGossipStats RunShardedGossip(const StaticCaches& caches,
     throw std::invalid_argument(os.str());
   }
   Scenario scenario(caches, geography, config);
-  return scenario.Run();
+  ShardedGossipStats stats = scenario.Run();
+  if (views != nullptr) {
+    scenario.TakeViews(caches, views);
+  }
+  return stats;
 }
 
 uint32_t ClusteredCacheTopic(uint32_t peer, uint32_t topics, uint64_t seed) {
@@ -395,7 +420,10 @@ uint32_t ClusteredCacheTopic(uint32_t peer, uint32_t topics, uint64_t seed) {
 
 StaticCaches MakeClusteredCaches(uint32_t peers, uint32_t files,
                                  uint32_t topics, uint64_t seed) {
-  assert(files > 0);
+  // Topics slice the file space, so an empty one leaves nothing to draw.
+  if (files == 0) {
+    throw std::invalid_argument("MakeClusteredCaches: files must be > 0");
+  }
   if (topics == 0) {
     topics = 1;
   }

@@ -1,10 +1,14 @@
-// Event-driven two-tier semantic gossip on the sharded engine.
+// Two-tier epidemic semantic overlay as discrete events on the sharded
+// engine.
 //
-// The synchronous GossipOverlay (gossip_overlay.h) studies convergence in
-// lock-step rounds; this scenario runs the same exchange protocol as real
-// discrete events on edk::sim::ShardedEngine, which is what lets it scale
-// to the million-peer populations the paper crawled (§3: 1.16 M distinct
-// peers). Every participant initiates one exchange per nominal round:
+// The paper's §6 describes the follow-on design (Voulgaris & van Steen,
+// Euro-Par 2005) that was evaluated on this very eDonkey trace: peers
+// gossip view entries and each keeps the K peers whose caches overlap its
+// own the most, so semantic neighbour lists exist without any download
+// history. This scenario runs that exchange protocol as real discrete
+// events on edk::sim::ShardedEngine, which is what lets it scale to the
+// million-peer populations the paper crawled (§3: 1.16 M distinct peers).
+// Every participant initiates one exchange per nominal round:
 //
 //   initiator --(request: self + view head + random spice)--> partner
 //   partner merges the offer, replies with its own view head
@@ -12,11 +16,11 @@
 //
 // Partner selection mixes exploitation (the best semantic neighbour) with
 // uniform exploration: every `explore_every`-th round explores, the rest
-// exploit (explore_every=2 is the synchronous implementation's strict
-// alternation). All randomness is drawn from the node's private stream and
-// all view mutations happen in the owning node's events, so the run is
-// bit-identical for any --shards/--threads/--placement combination (the
-// engine's determinism contract).
+// exploit. All randomness is drawn from the node's private stream and all
+// view mutations happen in the owning node's events, so the run — the
+// converged views included — is bit-identical for any
+// --shards/--threads/--placement combination (the engine's determinism
+// contract).
 //
 // RunShardedGossip is the entry point used by bench_ext_gossip,
 // bench_ext_dynamic --shards sections, bench_scale and the equivalence
@@ -41,8 +45,8 @@ struct ShardedGossipConfig {
   size_t rounds = 16;         // Nominal gossip rounds per participant.
   // Explore (uniform partner) every this many rounds, exploit the best
   // semantic neighbour otherwise; round 0 always explores. 2 = strict
-  // alternation (the synchronous overlay's behaviour); larger values
-  // spend more rounds on semantic partners. Clamped to >= 1.
+  // alternation; larger values spend more rounds on semantic partners.
+  // Clamped to >= 1.
   size_t explore_every = 2;
   // Seconds between a participant's successive initiations. Must leave
   // room for one full exchange (two one-way delays): RunShardedGossip
@@ -52,7 +56,7 @@ struct ShardedGossipConfig {
   double round_period = 10.0;
   // Local semantic-probe events per participant after the gossip rounds:
   // each draws a file from the node's own cache and checks whether its
-  // semantic view can serve it (the event-driven ViewHitRate analogue).
+  // semantic view can serve it (an event-driven analogue of view_hit_rate).
   size_t probe_rounds = 0;
   uint64_t seed = 1;
   size_t shards = 1;   // Engine shards.
@@ -114,9 +118,16 @@ struct ShardedGossipStats {
 // Runs the scenario over the given static caches (only peers with
 // non-empty caches participate). Geography attachments are sampled at
 // setup from the config seed.
-ShardedGossipStats RunShardedGossip(const StaticCaches& caches,
-                                    const Geography& geography,
-                                    const ShardedGossipConfig& config);
+//
+// If `views` is non-null it receives the converged semantic views,
+// indexed by raw peer id like `caches.caches` and holding raw peer ids,
+// best overlap first — the shape SearchSimConfig::fixed_views takes. Free
+// riders get an empty view. Like the stats, the views are bit-identical
+// for any shards/threads/placement.
+ShardedGossipStats RunShardedGossip(
+    const StaticCaches& caches, const Geography& geography,
+    const ShardedGossipConfig& config,
+    std::vector<std::vector<uint32_t>>* views = nullptr);
 
 // Synthetic clustered population for scale runs: `peers` caches over
 // `files` files partitioned into `topics` interest clusters; each peer
@@ -128,6 +139,7 @@ ShardedGossipStats RunShardedGossip(const StaticCaches& caches,
 // interest is latent in its cache, not its address. Id-based shard
 // placements therefore can't exploit the clustering by accident; only
 // content-derived labels (src/semantic/interest_placement.h) can.
+// Throws std::invalid_argument if `files` is 0.
 StaticCaches MakeClusteredCaches(uint32_t peers, uint32_t files,
                                  uint32_t topics, uint64_t seed);
 
